@@ -228,10 +228,13 @@ fn execute_many_suite(group: &mut BenchmarkGroup<'_>) {
 /// a hash lookup).
 fn repeat_rewrite_suite(group: &mut BenchmarkGroup<'_>) {
     {
-        let (_, dbms, sql) = exec_workloads().swap_remove(1);
+        let (_, mut dbms, sql) = exec_workloads().swap_remove(1);
         let prepared = dbms.prepare(&sql).unwrap();
         // The cached outcome must be the same plan the kernel produces.
-        let cold = dbms.rewrite_uncached(&prepared).unwrap();
+        let cap = dbms.rewriter.plan_cache_cap();
+        dbms.rewriter.set_plan_cache_cap(0);
+        let cold = dbms.rewrite(&prepared).unwrap();
+        dbms.rewriter.set_plan_cache_cap(cap);
         let warm = dbms.rewrite(&prepared).unwrap();
         assert_eq!(cold.term, warm.term, "plan cache returned a different plan");
         let d = &dbms;

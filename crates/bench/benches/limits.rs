@@ -63,13 +63,14 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("limits");
     group.sample_size(15);
     let mut dbms = graph_dbms(30, 8, 3);
+    dbms.rewriter.set_plan_cache_cap(0);
     let sql = "SELECT Dst FROM TC WHERE Src = 20 ;";
     for limit in [0u64, 10, 1000] {
         dbms.rewriter.set_all_limits(Limit::Finite(limit));
         let prepared = dbms.prepare(sql).unwrap();
         let d = &dbms;
         group.bench_with_input(BenchmarkId::new("rewrite", limit), &prepared, |b, p| {
-            b.iter(|| d.rewrite_uncached(p).unwrap());
+            b.iter(|| d.rewrite(p).unwrap());
         });
     }
     group.finish();

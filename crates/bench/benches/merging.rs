@@ -51,11 +51,12 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("merging");
     group.sample_size(20);
     for depth in [2usize, 8] {
-        let dbms = view_stack(depth, 100);
+        let mut dbms = view_stack(depth, 100);
+        dbms.rewriter.set_plan_cache_cap(0);
         let sql = format!("SELECT K FROM V{depth} WHERE B = 3 ;");
         let prepared = dbms.prepare(&sql).unwrap();
         group.bench_with_input(BenchmarkId::new("rewrite", depth), &depth, |b, _| {
-            b.iter(|| dbms.rewrite_uncached(&prepared).unwrap());
+            b.iter(|| dbms.rewrite(&prepared).unwrap());
         });
         let rewritten = dbms.rewrite(&prepared).unwrap();
         group.bench_with_input(BenchmarkId::new("exec_unmerged", depth), &depth, |b, _| {

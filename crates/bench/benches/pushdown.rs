@@ -125,14 +125,15 @@ fn bench(c: &mut Criterion) {
     });
 
     for branches in [2usize, 8] {
-        let dbms = union_view(branches, 10);
+        let mut dbms = union_view(branches, 10);
+        dbms.rewriter.set_plan_cache_cap(0);
         let prepared = dbms
             .prepare("SELECT K FROM ALLPARTS WHERE K = 7 ;")
             .unwrap();
         group.bench_with_input(
             BenchmarkId::new("rewrite_time", branches),
             &branches,
-            |b, _| b.iter(|| dbms.rewrite_uncached(&prepared).unwrap()),
+            |b, _| b.iter(|| dbms.rewrite(&prepared).unwrap()),
         );
     }
     group.finish();

@@ -46,7 +46,8 @@ fn bench(c: &mut Criterion) {
     series();
     let mut group = c.benchmark_group("semantic");
     group.sample_size(15);
-    let dbms = product_dbms(10_000);
+    let mut dbms = product_dbms(10_000);
+    dbms.rewriter.set_plan_cache_cap(0);
 
     for (label, sql) in [
         ("inconsistent", "SELECT Id FROM PRODUCT WHERE Grade = 'D' ;"),
@@ -55,7 +56,7 @@ fn bench(c: &mut Criterion) {
         let prepared = dbms.prepare(sql).unwrap();
         let rewritten = dbms.rewrite(&prepared).unwrap();
         group.bench_with_input(BenchmarkId::new("rewrite", label), &prepared, |b, p| {
-            b.iter(|| dbms.rewrite_uncached(p).unwrap());
+            b.iter(|| dbms.rewrite(p).unwrap());
         });
         group.bench_with_input(
             BenchmarkId::new("exec_unoptimized", label),

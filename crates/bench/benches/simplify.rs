@@ -12,7 +12,8 @@ fn series() {
         "{:<7} {:>14} {:>14} {:>12} {:>12}",
         "width", "conj_before", "conj_after", "checks", "applications"
     );
-    let dbms = simple_table(500);
+    let mut dbms = simple_table(500);
+    dbms.rewriter.set_plan_cache_cap(0);
     for n in [1usize, 4, 8, 16] {
         let sql = wide_conjunction_sql(n);
         let prepared = dbms.prepare(&sql).unwrap();
@@ -37,12 +38,13 @@ fn bench(c: &mut Criterion) {
     series();
     let mut group = c.benchmark_group("simplify");
     group.sample_size(20);
-    let dbms = simple_table(500);
+    let mut dbms = simple_table(500);
+    dbms.rewriter.set_plan_cache_cap(0);
     for n in [4usize, 16] {
         let sql = wide_conjunction_sql(n);
         let prepared = dbms.prepare(&sql).unwrap();
         group.bench_with_input(BenchmarkId::new("rewrite", n), &prepared, |b, p| {
-            b.iter(|| dbms.rewrite_uncached(p).unwrap());
+            b.iter(|| dbms.rewrite(p).unwrap());
         });
         let rewritten = dbms.rewrite(&prepared).unwrap();
         group.bench_with_input(

@@ -65,10 +65,11 @@ fn plans_at_levels(
     dbms: &mut Dbms,
     prepared: &Prepared,
 ) -> (eds_core::RewriteOutcome, eds_core::RewriteOutcome) {
+    dbms.rewriter.set_plan_cache_cap(0);
     dbms.set_opt_level(OptLevel::Simple);
-    let simple = dbms.rewrite_uncached(prepared).unwrap();
+    let simple = dbms.rewrite(prepared).unwrap();
     dbms.set_opt_level(OptLevel::Full);
-    let full = dbms.rewrite_uncached(prepared).unwrap();
+    let full = dbms.rewrite(prepared).unwrap();
     (simple, full)
 }
 
@@ -136,13 +137,14 @@ fn main() {
     // 3. None skips the rule kernel on trivial statements.
     {
         let mut dbms = simple_table(100);
+        dbms.rewriter.set_plan_cache_cap(0);
         let prepared = dbms.prepare("SELECT Y FROM T WHERE X = 42 ;").unwrap();
         dbms.set_opt_level(OptLevel::Simple);
         let simple_ns = median_ns(25, || {
-            dbms.rewrite_uncached(&prepared).unwrap();
+            dbms.rewrite(&prepared).unwrap();
         });
         dbms.set_opt_level(OptLevel::None);
-        let none = dbms.rewrite_uncached(&prepared).unwrap();
+        let none = dbms.rewrite(&prepared).unwrap();
         if none.stats.condition_checks != 0 {
             failures.push(format!(
                 "trivial scan still rewrote at OptLevel::None ({} checks)",
@@ -150,7 +152,7 @@ fn main() {
             ));
         }
         let none_ns = median_ns(25, || {
-            dbms.rewrite_uncached(&prepared).unwrap();
+            dbms.rewrite(&prepared).unwrap();
         });
         println!(
             "trivial prepare: simple {simple_ns:.0} ns, none {none_ns:.0} ns ({:.1}x faster)",

@@ -36,12 +36,13 @@ fn rows_of(dbms: &Dbms, expr: &Expr, opts: EvalOptions) -> Vec<eds_engine::Row> 
 
 fn assert_levels_agree(id: &str, dbms: &mut Dbms, sql: &str) {
     let prepared = dbms.prepare(sql).unwrap();
+    dbms.rewriter.set_plan_cache_cap(0);
     dbms.set_opt_level(OptLevel::None);
-    let none = dbms.rewrite_uncached(&prepared).unwrap();
+    let none = dbms.rewrite(&prepared).unwrap();
     dbms.set_opt_level(OptLevel::Simple);
-    let simple = dbms.rewrite_uncached(&prepared).unwrap();
+    let simple = dbms.rewrite(&prepared).unwrap();
     dbms.set_opt_level(OptLevel::Full);
-    let full = dbms.rewrite_uncached(&prepared).unwrap();
+    let full = dbms.rewrite(&prepared).unwrap();
 
     for opts in configs() {
         let simple_rows = rows_of(dbms, &simple.expr, opts);

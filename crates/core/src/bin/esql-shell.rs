@@ -216,14 +216,15 @@ fn meta_command(dbms: &mut Dbms, stmts: &mut HashMap<String, PreparedStmt>, cmd:
         ".stats" => {
             let pc = dbms.rewriter.plan_cache_stats();
             println!(
-                "plan cache: {} hit(s), {} miss(es), {} eviction(s), {} invalidation(s)",
-                pc.hits, pc.misses, pc.evictions, pc.invalidations
-            );
-            println!(
-                "shape tier: {} hit(s), {} miss(es) ({} prepared statement shape(s) cached)",
+                "plan cache: {} hit(s), {} miss(es) ({} hit(s), {} miss(es) by prepared \
+                 statements), {} plan(s) cached, {} eviction(s), {} invalidation(s)",
+                pc.hits,
+                pc.misses,
                 pc.shape_hits,
                 pc.shape_misses,
-                dbms.rewriter.shape_cache_len()
+                dbms.rewriter.plan_cache_len(),
+                pc.evictions,
+                pc.invalidations
             );
             let ex = dbms.rewriter.explore_stats();
             println!(

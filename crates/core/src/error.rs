@@ -44,6 +44,13 @@ pub enum CoreError {
         /// Values the bind array supplied.
         got: usize,
     },
+    /// A prepared statement was executed on a `Dbms` other than the one
+    /// that prepared it. Its plan holds the preparing catalog's
+    /// attribute positions, so it must be prepared again instead.
+    ForeignStatement {
+        /// The statement's source text.
+        sql: String,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -69,6 +76,12 @@ impl fmt::Display for CoreError {
                 write!(
                     f,
                     "statement takes {expected} bind value(s), {got} supplied"
+                )
+            }
+            CoreError::ForeignStatement { sql } => {
+                write!(
+                    f,
+                    "statement '{sql}' was prepared on another Dbms; prepare it on this one"
                 )
             }
         }

@@ -34,7 +34,9 @@ pub mod verify;
 use eds_engine::{eval_with, Database, EvalOptions, EvalStats, Relation, Row};
 pub use eds_engine::{parallel_stats, OptLevel, ParallelStats};
 use eds_esql::{parse_query, Stmt};
-use eds_lera::{translate_query, CostModel, Estimate, Expr, Schema, SchemaCtx};
+use eds_lera::{
+    expr_from_term, expr_to_term, translate_query, CostModel, Estimate, Expr, Schema, SchemaCtx,
+};
 
 pub use discover::{HarnessOracle, LeraCostOracle};
 pub use eds_rewrite::discover::{DiscoverOptions, Discovery, Fragment, Funnel};
@@ -81,11 +83,14 @@ pub struct Prepared {
 /// rewriter's invalidation epoch, and evaluates the cached plan with the
 /// bind array — repeat executions go straight to the engine.
 ///
-/// The cached plan is shared (`Arc`) with the rewriter's shape-tier
-/// cache, and the epoch snapshot ties it to the knowledge base: any
+/// The statement keeps its own lowered plan, so executes never touch
+/// the plan cache. The epoch snapshot ties it to the knowledge base: any
 /// rule/DDL/constraint change advances the rewriter's invalidation
 /// counter, and the next `execute` transparently re-rewrites through
-/// the shape tier before running.
+/// the plan cache before running. A statement runs only on the `Dbms`
+/// whose rewriter prepared it ([`CoreError::ForeignStatement`]
+/// otherwise): its canonical plan holds that catalog's attribute
+/// positions.
 #[derive(Debug)]
 pub struct PreparedStmt {
     /// Original source text.
@@ -98,9 +103,11 @@ pub struct PreparedStmt {
     /// refreshes.
     canonical: Expr,
     /// Optimization level the statement was prepared at — part of the
-    /// shape-tier cache key, and reused on epoch refreshes so a level
-    /// change on the DBMS never silently re-plans an existing statement.
+    /// plan-cache key, and reused on epoch refreshes so a level change on
+    /// the DBMS never silently re-plans an existing statement.
     level: OptLevel,
+    /// Instance id of the rewriter that prepared the statement.
+    rewriter_id: u64,
     /// Rewritten + lowered plan and the invalidation epoch it was
     /// produced under.
     plan: std::sync::Mutex<StmtPlan>,
@@ -148,6 +155,11 @@ impl PreparedStmt {
         dbms: &Dbms,
         params: &[eds_adt::Value],
     ) -> CoreResult<(Relation, EvalStats)> {
+        if dbms.rewriter.id != self.rewriter_id {
+            return Err(CoreError::ForeignStatement {
+                sql: self.sql.clone(),
+            });
+        }
         if params.len() != self.param_count {
             return Err(CoreError::BindMismatch {
                 expected: self.param_count,
@@ -163,7 +175,7 @@ impl PreparedStmt {
         )?)
     }
 
-    /// The rewritten plan, re-rewriting through the shape tier when the
+    /// The rewritten plan, re-rewriting through the plan cache when the
     /// rewriter's invalidation epoch has moved since it was cached.
     fn current_plan(&self, dbms: &Dbms) -> CoreResult<std::sync::Arc<Expr>> {
         let epoch = dbms.rewriter.invalidation_epoch();
@@ -174,14 +186,9 @@ impl PreparedStmt {
             }
         }
         // Stale: the knowledge base, catalog or constraints changed.
-        // Re-rewrite outside the lock (the shape tier may already hold
+        // Re-rewrite outside the lock (the plan cache may already hold
         // the fresh plan if a sibling statement refreshed first).
-        let (expr, _, _) = dbms.rewriter.rewrite_shape_leveled(
-            &self.canonical,
-            &dbms.db,
-            &dbms.constraints,
-            self.level,
-        )?;
+        let expr = std::sync::Arc::new(dbms.rewrite_at(&self.canonical, self.level, true)?.expr);
         let mut plan = self.plan.lock().expect("prepared plan poisoned");
         plan.expr = std::sync::Arc::clone(&expr);
         plan.epoch = epoch;
@@ -361,28 +368,23 @@ impl Dbms {
 
     /// Prepare a parameterized statement: parse and translate `sql`
     /// (with `?` placeholders numbered left to right), rewrite the
-    /// parameterized plan **once** through the shape tier of the plan
-    /// cache — rules whose conditions would inspect a parameter's value
-    /// see a non-constant `PARAM(i)` leaf and defer to bind time — and
-    /// lower it. The returned statement executes repeatedly against
+    /// parameterized plan **once** through the plan cache — rules whose
+    /// conditions would inspect a parameter's value see a non-constant
+    /// `PARAM(i)` leaf and defer to bind time — and lower it. The returned statement executes repeatedly against
     /// different bind arrays without re-parsing or re-rewriting.
     pub fn prepare_stmt(&self, sql: &str) -> CoreResult<PreparedStmt> {
         let epoch = self.rewriter.invalidation_epoch();
         let level = self.eval_options.opt_level;
         let prepared = self.prepare(sql)?;
         let param_count = prepared.expr.max_param().map_or(0, |m| m as usize + 1);
-        let (expr, _, _) = self.rewriter.rewrite_shape_leveled(
-            &prepared.expr,
-            &self.db,
-            &self.constraints,
-            level,
-        )?;
+        let expr = std::sync::Arc::new(self.rewrite_at(&prepared.expr, level, true)?.expr);
         Ok(PreparedStmt {
             sql: prepared.sql,
             schema: prepared.schema,
             param_count,
             canonical: prepared.expr,
             level,
+            rewriter_id: self.rewriter.id,
             plan: std::sync::Mutex::new(StmtPlan { expr, epoch }),
         })
     }
@@ -390,26 +392,25 @@ impl Dbms {
     /// Run the rewriter over a prepared plan (through the plan cache:
     /// repeated rewrites of the same canonical plan return the cached
     /// output) at the DBMS's current optimization level
-    /// ([`EvalOptions::opt_level`], the `EDS_OPT_LEVEL` knob).
+    /// ([`EvalOptions::opt_level`], the `EDS_OPT_LEVEL` knob). With a
+    /// plan-cache capacity of 0 every call runs the rewrite kernel.
     pub fn rewrite(&self, prepared: &Prepared) -> CoreResult<RewriteOutcome> {
-        self.rewriter.rewrite_leveled(
-            &prepared.expr,
-            &self.db,
-            &self.constraints,
-            self.eval_options.opt_level,
-        )
+        self.rewrite_at(&prepared.expr, self.eval_options.opt_level, false)
     }
 
-    /// Run the rewriter over a prepared plan, bypassing the plan cache —
-    /// for benchmarking the rewriter itself. Honors the current
-    /// optimization level.
-    pub fn rewrite_uncached(&self, prepared: &Prepared) -> CoreResult<RewriteOutcome> {
-        self.rewriter.rewrite_uncached_leveled(
-            &prepared.expr,
-            &self.db,
-            &self.constraints,
-            self.eval_options.opt_level,
-        )
+    /// [`Dbms::rewrite`] of `expr` at `level`; `stmt` marks lookups made
+    /// for prepared statements (see [`PlanCacheStats::shape_hits`]).
+    fn rewrite_at(&self, expr: &Expr, level: OptLevel, stmt: bool) -> CoreResult<RewriteOutcome> {
+        let out =
+            self.rewriter
+                .cached(expr_to_term(expr), &self.db, &self.constraints, level, stmt)?;
+        Ok(RewriteOutcome {
+            expr: expr_from_term(&out.term)?,
+            term: out.term,
+            stats: out.stats,
+            budget_exhausted: out.budget_exhausted,
+            exploration: out.exploration,
+        })
     }
 
     /// Evaluate a plan.
@@ -481,16 +482,18 @@ impl Dbms {
     pub fn explain(&self, sql: &str) -> CoreResult<String> {
         let level = self.eval_options.opt_level;
         let prepared = self.prepare(sql)?;
-        let mut tracing = self.rewriter.clone();
-        tracing.collect_trace = true;
-        let rewritten =
-            tracing.rewrite_leveled(&prepared.expr, &self.db, &self.constraints, level)?;
+        let (rewritten, trace) = self.rewriter.trace_term(
+            expr_to_term(&prepared.expr),
+            &self.db,
+            &self.constraints,
+            level,
+        )?;
         let mut out = String::new();
         out.push_str(&format!("-- opt level: {level} --\n"));
         out.push_str("-- canonical plan --\n");
         out.push_str(&eds_lera::pretty(&prepared.expr));
         out.push_str("-- rewritten plan --\n");
-        out.push_str(&eds_lera::pretty(&rewritten.expr));
+        out.push_str(&eds_lera::pretty(&expr_from_term(&rewritten.term)?));
         out.push_str(&format!(
             "-- {} rule applications, {} condition checks --\n",
             rewritten.stats.applications, rewritten.stats.condition_checks
@@ -507,7 +510,7 @@ impl Dbms {
                 )),
             }
         }
-        for event in rewritten.trace.events() {
+        for event in trace.events() {
             out.push_str(&format!("{event}\n"));
         }
         Ok(out)

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use eds_engine::{Database, OptLevel};
-use eds_lera::{expr_from_term, expr_to_term, ColumnStats, CostModel, Expr, RelationStats};
+use eds_lera::{expr_from_term, ColumnStats, CostModel, Expr, RelationStats};
 use eds_rewrite::{
     analyze, analyze::duplicate_rule, parse_source, run_strategy, run_strategy_explore, Diagnostic,
     Exploration, ExploreOptions, Limit, MethodRegistry, RewriteStats, RuleSet, SchemaProvider,
@@ -79,7 +79,7 @@ pub const EXPLORE_CHECK_COST: f64 = 32.0;
 /// CHOOSE-style transformations), not mere normalization.
 pub const EXPLORE_BLOCKS: [&str; 3] = ["merging", "permutation", "semantic"];
 
-/// Outcome of rewriting one query.
+/// Outcome of rewriting one LERA plan (see `Dbms::rewrite`).
 #[derive(Debug, Clone)]
 pub struct RewriteOutcome {
     /// The rewritten plan.
@@ -88,66 +88,33 @@ pub struct RewriteOutcome {
     pub term: Term,
     /// Rule-application counters.
     pub stats: RewriteStats,
-    /// Per-application trace (when requested).
-    pub trace: Trace,
     /// Whether some block hit its limit.
     pub budget_exhausted: bool,
     /// Candidate-exploration summary ([`OptLevel::Full`] only).
     pub exploration: Option<Exploration>,
 }
 
-/// Result of one term-level rewrite (the leveled API's return shape).
+/// Result of one term-level rewrite, and the plan cache's entry type.
 #[derive(Debug, Clone)]
 pub struct TermRewrite {
     /// The rewritten term.
     pub term: Term,
     /// Rule-application counters.
     pub stats: RewriteStats,
-    /// Per-application trace (when requested).
-    pub trace: Trace,
     /// Whether some block hit its limit.
     pub budget_exhausted: bool,
     /// Candidate-exploration summary ([`OptLevel::Full`] only).
     pub exploration: Option<Exploration>,
 }
 
-/// One cached rewrite result. Traces are never cached: tracing rewrites
-/// bypass the cache entirely.
-#[derive(Clone)]
-struct CachedPlan {
-    term: Term,
-    stats: RewriteStats,
-    budget_exhausted: bool,
-    exploration: Option<Exploration>,
-}
-
-/// One cached prepared-statement shape: the rewritten **and lowered**
-/// plan, shared (`Arc`) by every prepared statement with the same
-/// fingerprint so a shape hit skips the term→algebra conversion too.
-#[derive(Clone)]
-struct ShapedPlan {
-    expr: std::sync::Arc<Expr>,
-    stats: RewriteStats,
-    budget_exhausted: bool,
-}
-
 /// Default plan-cache capacity: cached rewrites above this count evict
 /// the whole cache (simple, and a workload with more than this many
-/// distinct prepared shapes is already re-preparing, not re-executing).
-/// Overridable per process with `EDS_PLAN_CACHE_CAP` (0 disables
-/// caching) or per rewriter with
-/// [`QueryRewriter::set_plan_cache_cap`].
+/// distinct canonical plans is already re-planning, not re-executing).
+/// Changed per rewriter with [`QueryRewriter::set_plan_cache_cap`].
 const PLAN_CACHE_CAP: usize = 256;
 
-/// Capacity for new rewriters: `EDS_PLAN_CACHE_CAP` when it parses,
-/// else [`PLAN_CACHE_CAP`]. Read at construction (not cached in a
-/// static) so tests can vary it.
-fn plan_cache_cap_from_env() -> usize {
-    std::env::var("EDS_PLAN_CACHE_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(PLAN_CACHE_CAP)
-}
+/// Source of [`QueryRewriter`] instance ids (see `PreparedStmt`).
+static NEXT_REWRITER_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Plan-cache effectiveness counters, exposed for tests and the bench
 /// report. `evictions` counts *entries dropped* by capacity-triggered
@@ -155,18 +122,17 @@ fn plan_cache_cap_from_env() -> usize {
 /// events (each of which also empties the cache).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Rewrites answered from the term tier.
+    /// Lookups answered from the cache.
     pub hits: u64,
-    /// Rewrites that ran the strategy (and then filled the term tier).
+    /// Lookups that ran the strategy (and then filled the cache).
     pub misses: u64,
-    /// Prepared-shape rewrites answered from the shape tier (the
-    /// rewritten *and lowered* plan came straight out of the cache).
+    /// The subset of `hits` made by preparing a statement or refreshing
+    /// a prepared statement's plan.
     pub shape_hits: u64,
-    /// Prepared-shape rewrites that fell through the shape tier (and
-    /// then filled it; the fall-through itself also counts a term-tier
-    /// hit or miss).
+    /// The subset of `misses` made by preparing a statement or
+    /// refreshing a prepared statement's plan.
     pub shape_misses: u64,
-    /// Entries dropped because a tier reached its capacity.
+    /// Entries dropped because the cache reached its capacity.
     pub evictions: u64,
     /// Invalidation events (rule/strategy/method/catalog/constraint
     /// changes). Doubles as the epoch prepared statements check before
@@ -175,7 +141,7 @@ pub struct PlanCacheStats {
 }
 
 /// Interior-mutable counter cell backing [`PlanCacheStats`] (atomics so
-/// `rewrite(&self)` can count from shared references).
+/// lookups through `&self` can count).
 #[derive(Default)]
 struct PlanCacheCounters {
     hits: AtomicU64,
@@ -287,24 +253,23 @@ pub struct QueryRewriter {
     rules: RuleSet,
     strategy: Strategy,
     methods: MethodRegistry,
-    /// Collect a rule-application trace on every rewrite.
-    pub collect_trace: bool,
+    /// Process-unique instance id, fresh for every construction and
+    /// clone. Prepared statements record it: their plans hold the
+    /// preparing catalog's attribute positions, and the invalidation
+    /// epoch only means something against the rewriter that issued it.
+    pub(crate) id: u64,
     /// Rewrite-output cache, keyed on the optimization level and the
     /// canonical input term (terms carry their hash from interning, so
     /// lookups cost one table probe, not a plan traversal). The level is
     /// part of the key because levels produce different plans for the
-    /// same canonical term. Interior-mutable so `rewrite(&self)` can
-    /// fill it; invalidated by every knowledge-base mutation and, via
+    /// same canonical term; `?` placeholders are `PARAM(i)` leaves, so
+    /// prepared statements differing only in bind values share one
+    /// entry. Interior-mutable so lookups through `&self` can fill it;
+    /// invalidated by every knowledge-base mutation and, via
     /// [`QueryRewriter::invalidate_plan_cache`], by catalog/constraint
     /// changes in the embedding DBMS.
-    plan_cache: Mutex<HashMap<(OptLevel, Term), CachedPlan>>,
-    /// Second cache tier for prepared statements, keyed on the level and
-    /// the *parameterized* canonical term (the statement fingerprint: `?`
-    /// placeholders appear as `PARAM(i)` leaves, so statements differing
-    /// only in bind values share one entry). Stores the rewritten and
-    /// lowered plan; invalidated together with the term tier.
-    shape_cache: Mutex<HashMap<(OptLevel, Term), ShapedPlan>>,
-    /// Capacity of each cache tier (0 disables caching entirely).
+    plan_cache: Mutex<HashMap<(OptLevel, Term), TermRewrite>>,
+    /// Capacity of the cache (0 disables caching entirely).
     plan_cache_cap: usize,
     /// Hit/miss/eviction/invalidation counters.
     counters: PlanCacheCounters,
@@ -318,9 +283,7 @@ impl fmt::Debug for QueryRewriter {
             .field("rules", &self.rules)
             .field("strategy", &self.strategy)
             .field("methods", &self.methods)
-            .field("collect_trace", &self.collect_trace)
             .field("plan_cache_len", &self.plan_cache_len())
-            .field("shape_cache_len", &self.shape_cache_len())
             .field("plan_cache_cap", &self.plan_cache_cap)
             .field("plan_cache_stats", &self.plan_cache_stats())
             .finish()
@@ -333,13 +296,12 @@ impl Clone for QueryRewriter {
             rules: self.rules.clone(),
             strategy: self.strategy.clone(),
             methods: self.methods.clone(),
-            collect_trace: self.collect_trace,
+            id: NEXT_REWRITER_ID.fetch_add(1, Ordering::Relaxed),
             // The clone starts cold: cached plans are cheap to recompute
             // and sharing them would couple invalidation across copies.
             // Counters start at zero with it — they describe this
             // instance's cache, not its lineage.
             plan_cache: Mutex::new(HashMap::new()),
-            shape_cache: Mutex::new(HashMap::new()),
             plan_cache_cap: self.plan_cache_cap,
             counters: PlanCacheCounters::default(),
             explore_counters: ExploreCounters::default(),
@@ -356,10 +318,9 @@ impl QueryRewriter {
             rules: RuleSet::new(),
             strategy: Strategy::new(),
             methods,
-            collect_trace: false,
+            id: NEXT_REWRITER_ID.fetch_add(1, Ordering::Relaxed),
             plan_cache: Mutex::new(HashMap::new()),
-            shape_cache: Mutex::new(HashMap::new()),
-            plan_cache_cap: plan_cache_cap_from_env(),
+            plan_cache_cap: PLAN_CACHE_CAP,
             counters: PlanCacheCounters::default(),
             explore_counters: ExploreCounters::default(),
         }
@@ -595,20 +556,11 @@ impl QueryRewriter {
     pub fn invalidate_plan_cache(&self) {
         self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
         self.plan_cache.lock().expect("plan cache poisoned").clear();
-        self.shape_cache
-            .lock()
-            .expect("shape cache poisoned")
-            .clear();
     }
 
-    /// Number of cached rewrites in the term tier.
+    /// Number of cached rewrites.
     pub fn plan_cache_len(&self) -> usize {
         self.plan_cache.lock().expect("plan cache poisoned").len()
-    }
-
-    /// Number of cached prepared shapes in the shape tier.
-    pub fn shape_cache_len(&self) -> usize {
-        self.shape_cache.lock().expect("shape cache poisoned").len()
     }
 
     /// Monotonic invalidation epoch: the count of invalidation events so
@@ -636,13 +588,6 @@ impl QueryRewriter {
                 .fetch_add(cache.len() as u64, Ordering::Relaxed);
             cache.clear();
         }
-        let mut shapes = self.shape_cache.lock().expect("shape cache poisoned");
-        if shapes.len() > cap {
-            self.counters
-                .evictions
-                .fetch_add(shapes.len() as u64, Ordering::Relaxed);
-            shapes.clear();
-        }
     }
 
     /// Snapshot of the hit/miss/eviction/invalidation counters.
@@ -655,22 +600,21 @@ impl QueryRewriter {
         self.explore_counters.snapshot()
     }
 
-    /// Rewrite a term directly, consulting the plan cache, at
-    /// [`OptLevel::Simple`]. See [`QueryRewriter::rewrite_term_leveled`].
-    pub fn rewrite_term(
-        &self,
-        term: Term,
-        db: &Database,
-        constraints: &ConstraintStore,
-    ) -> CoreResult<(Term, RewriteStats, Trace, bool)> {
-        self.rewrite_term_leveled(term, db, constraints, OptLevel::Simple)
-            .map(|r| (r.term, r.stats, r.trace, r.budget_exhausted))
-    }
-
-    /// Rewrite a term directly at an optimization level, consulting the
-    /// plan cache (keyed on `(level, term)`). Tracing rewrites bypass
-    /// the cache (a cache hit has no applications to trace, which would
-    /// make `explain` output misleading).
+    /// Rewrite a term at an optimization level through the plan cache
+    /// (keyed on `(level, term)`): the one cached rewrite entry point.
+    /// With a capacity of 0 the cache is bypassed, lookup and counters
+    /// both. The levels:
+    ///
+    /// * [`OptLevel::None`] — a *trivial statement* (a point scan over
+    ///   one stored relation, [`Expr::is_trivial_scan`]) skips rewriting
+    ///   entirely and runs as translated; anything structural falls back
+    ///   to `Simple` (skipping rewrites that restructure joins or
+    ///   recursion would be a correctness-neutral but large performance
+    ///   trap).
+    /// * [`OptLevel::Simple`] — bounded syntactic saturation.
+    /// * [`OptLevel::Full`] — `Simple` plus candidate exploration at the
+    ///   declared choice-point blocks, scored with a statistics-backed
+    ///   cost model built from the engine's sketches.
     pub fn rewrite_term_leveled(
         &self,
         term: Term,
@@ -678,8 +622,35 @@ impl QueryRewriter {
         constraints: &ConstraintStore,
         level: OptLevel,
     ) -> CoreResult<TermRewrite> {
-        if self.collect_trace || self.plan_cache_cap == 0 {
-            return self.rewrite_term_uncached_leveled(term, db, constraints, level);
+        self.cached(term, db, constraints, level, false)
+    }
+
+    /// Rewrite a term at an optimization level, recording every rule
+    /// application. Never reads or fills the plan cache (a cache hit has
+    /// no applications to trace); `Dbms::explain` is built on it.
+    pub fn trace_term(
+        &self,
+        term: Term,
+        db: &Database,
+        constraints: &ConstraintStore,
+        level: OptLevel,
+    ) -> CoreResult<(TermRewrite, Trace)> {
+        self.run(term, db, constraints, level, true)
+    }
+
+    /// The plan-cache lookup behind [`QueryRewriter::rewrite_term_leveled`].
+    /// `prepared` marks lookups made for prepared statements, which also
+    /// count in [`PlanCacheStats::shape_hits`]/`shape_misses`.
+    pub(crate) fn cached(
+        &self,
+        term: Term,
+        db: &Database,
+        constraints: &ConstraintStore,
+        level: OptLevel,
+        prepared: bool,
+    ) -> CoreResult<TermRewrite> {
+        if self.plan_cache_cap == 0 {
+            return Ok(self.run(term, db, constraints, level, false)?.0);
         }
         let key = (level, term);
         if let Some(hit) = self
@@ -689,16 +660,16 @@ impl QueryRewriter {
             .get(&key)
         {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(TermRewrite {
-                term: hit.term.clone(),
-                stats: hit.stats,
-                trace: Trace::default(),
-                budget_exhausted: hit.budget_exhausted,
-                exploration: hit.exploration,
-            });
+            if prepared {
+                self.counters.shape_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            return Ok(hit.clone());
         }
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let out = self.rewrite_term_uncached_leveled(key.1.clone(), db, constraints, level)?;
+        if prepared {
+            self.counters.shape_misses.fetch_add(1, Ordering::Relaxed);
+        }
+        let (out, _) = self.run(key.1.clone(), db, constraints, level, false)?;
         let mut cache = self.plan_cache.lock().expect("plan cache poisoned");
         if cache.len() >= self.plan_cache_cap {
             self.counters
@@ -706,63 +677,30 @@ impl QueryRewriter {
                 .fetch_add(cache.len() as u64, Ordering::Relaxed);
             cache.clear();
         }
-        cache.insert(
-            key,
-            CachedPlan {
-                term: out.term.clone(),
-                stats: out.stats,
-                budget_exhausted: out.budget_exhausted,
-                exploration: out.exploration,
-            },
-        );
+        cache.insert(key, out.clone());
         Ok(out)
     }
 
-    /// Rewrite a term without touching the plan cache (neither lookup
-    /// nor fill), at [`OptLevel::Simple`] — for benchmarking the
-    /// rewriter itself.
-    pub fn rewrite_term_uncached(
-        &self,
-        term: Term,
-        db: &Database,
-        constraints: &ConstraintStore,
-    ) -> CoreResult<(Term, RewriteStats, Trace, bool)> {
-        self.rewrite_term_uncached_leveled(term, db, constraints, OptLevel::Simple)
-            .map(|r| (r.term, r.stats, r.trace, r.budget_exhausted))
-    }
-
-    /// Rewrite a term without touching the plan cache, at an
-    /// optimization level:
-    ///
-    /// * [`OptLevel::None`] — a *trivial statement* (a point scan over
-    ///   one stored relation, [`Expr::is_trivial_scan`]) skips rewriting
-    ///   entirely and runs as translated; anything structural falls back
-    ///   to `Simple` (skipping rewrites that restructure joins or
-    ///   recursion would be a correctness-neutral but large performance
-    ///   trap).
-    /// * [`OptLevel::Simple`] — bounded syntactic saturation, today's
-    ///   behavior.
-    /// * [`OptLevel::Full`] — `Simple` plus candidate exploration at the
-    ///   declared choice-point blocks, scored with a statistics-backed
-    ///   cost model built from the engine's sketches.
-    pub fn rewrite_term_uncached_leveled(
+    /// The rewrite kernel behind both entry points: run the block/seq
+    /// strategy once at `level` (see
+    /// [`QueryRewriter::rewrite_term_leveled`]), recording a trace when
+    /// asked.
+    fn run(
         &self,
         term: Term,
         db: &Database,
         constraints: &ConstraintStore,
         level: OptLevel,
-    ) -> CoreResult<TermRewrite> {
-        if level == OptLevel::None {
-            let trivial = expr_from_term(&term).is_ok_and(|e| e.is_trivial_scan());
-            if trivial {
-                return Ok(TermRewrite {
-                    term,
-                    stats: RewriteStats::default(),
-                    trace: Trace::default(),
-                    budget_exhausted: false,
-                    exploration: None,
-                });
-            }
+        trace: bool,
+    ) -> CoreResult<(TermRewrite, Trace)> {
+        if level == OptLevel::None && expr_from_term(&term).is_ok_and(|e| e.is_trivial_scan()) {
+            let out = TermRewrite {
+                term,
+                stats: RewriteStats::default(),
+                budget_exhausted: false,
+                exploration: None,
+            };
+            return Ok((out, Trace::default()));
         }
         let env = CoreEnv { db, constraints };
         let outcome = if level == OptLevel::Full {
@@ -780,7 +718,7 @@ impl QueryRewriter {
                 &self.methods,
                 &env,
                 term,
-                self.collect_trace,
+                trace,
                 &opts,
             )?;
             self.explore_counters.absorb(&outcome.stats);
@@ -792,148 +730,15 @@ impl QueryRewriter {
                 &self.methods,
                 &env,
                 term,
-                self.collect_trace,
+                trace,
             )?
         };
-        Ok(TermRewrite {
+        let out = TermRewrite {
             term: outcome.term,
             stats: outcome.stats,
-            trace: outcome.trace,
             budget_exhausted: outcome.budget_exhausted,
             exploration: outcome.exploration,
-        })
-    }
-
-    /// [`QueryRewriter::rewrite_shape_leveled`] at [`OptLevel::Simple`].
-    pub fn rewrite_shape(
-        &self,
-        expr: &Expr,
-        db: &Database,
-        constraints: &ConstraintStore,
-    ) -> CoreResult<(std::sync::Arc<Expr>, RewriteStats, bool)> {
-        self.rewrite_shape_leveled(expr, db, constraints, OptLevel::Simple)
-    }
-
-    /// Rewrite a parameterized canonical plan through the **shape
-    /// tier**: the key is the optimization level plus the canonical term
-    /// itself (`?` placeholders are `PARAM(i)` leaves, so every
-    /// statement with the same shape *prepared at the same level* shares
-    /// one entry regardless of eventual bind values), and the entry
-    /// stores the rewritten *and lowered* plan behind an `Arc` — a hit
-    /// skips rule matching and the term→algebra conversion both. Misses
-    /// fall through to the term tier, warming it for ad-hoc rewrites of
-    /// the same canonical term.
-    pub fn rewrite_shape_leveled(
-        &self,
-        expr: &Expr,
-        db: &Database,
-        constraints: &ConstraintStore,
-        level: OptLevel,
-    ) -> CoreResult<(std::sync::Arc<Expr>, RewriteStats, bool)> {
-        use std::sync::Arc;
-        let term = expr_to_term(expr);
-        if self.plan_cache_cap == 0 {
-            let out = self.rewrite_term_uncached_leveled(term, db, constraints, level)?;
-            return Ok((
-                Arc::new(expr_from_term(&out.term)?),
-                out.stats,
-                out.budget_exhausted,
-            ));
-        }
-        let key = (level, term);
-        if let Some(hit) = self
-            .shape_cache
-            .lock()
-            .expect("shape cache poisoned")
-            .get(&key)
-        {
-            self.counters.shape_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((Arc::clone(&hit.expr), hit.stats, hit.budget_exhausted));
-        }
-        self.counters.shape_misses.fetch_add(1, Ordering::Relaxed);
-        let out = self.rewrite_term_leveled(key.1.clone(), db, constraints, level)?;
-        let lowered = Arc::new(expr_from_term(&out.term)?);
-        let mut cache = self.shape_cache.lock().expect("shape cache poisoned");
-        if cache.len() >= self.plan_cache_cap {
-            self.counters
-                .evictions
-                .fetch_add(cache.len() as u64, Ordering::Relaxed);
-            cache.clear();
-        }
-        cache.insert(
-            key,
-            ShapedPlan {
-                expr: Arc::clone(&lowered),
-                stats: out.stats,
-                budget_exhausted: out.budget_exhausted,
-            },
-        );
-        Ok((lowered, out.stats, out.budget_exhausted))
-    }
-
-    /// Rewrite a LERA plan (through the plan cache) at
-    /// [`OptLevel::Simple`].
-    pub fn rewrite(
-        &self,
-        expr: &Expr,
-        db: &Database,
-        constraints: &ConstraintStore,
-    ) -> CoreResult<RewriteOutcome> {
-        self.rewrite_leveled(expr, db, constraints, OptLevel::Simple)
-    }
-
-    /// Rewrite a LERA plan (through the plan cache) at an optimization
-    /// level.
-    pub fn rewrite_leveled(
-        &self,
-        expr: &Expr,
-        db: &Database,
-        constraints: &ConstraintStore,
-        level: OptLevel,
-    ) -> CoreResult<RewriteOutcome> {
-        let term = expr_to_term(expr);
-        let out = self.rewrite_term_leveled(term, db, constraints, level)?;
-        let expr = expr_from_term(&out.term)?;
-        Ok(RewriteOutcome {
-            expr,
-            term: out.term,
-            stats: out.stats,
-            trace: out.trace,
-            budget_exhausted: out.budget_exhausted,
-            exploration: out.exploration,
-        })
-    }
-
-    /// Rewrite a LERA plan, bypassing the plan cache, at
-    /// [`OptLevel::Simple`] — for benchmarking the rewriter itself.
-    pub fn rewrite_uncached(
-        &self,
-        expr: &Expr,
-        db: &Database,
-        constraints: &ConstraintStore,
-    ) -> CoreResult<RewriteOutcome> {
-        self.rewrite_uncached_leveled(expr, db, constraints, OptLevel::Simple)
-    }
-
-    /// Rewrite a LERA plan, bypassing the plan cache, at an optimization
-    /// level.
-    pub fn rewrite_uncached_leveled(
-        &self,
-        expr: &Expr,
-        db: &Database,
-        constraints: &ConstraintStore,
-        level: OptLevel,
-    ) -> CoreResult<RewriteOutcome> {
-        let term = expr_to_term(expr);
-        let out = self.rewrite_term_uncached_leveled(term, db, constraints, level)?;
-        let expr = expr_from_term(&out.term)?;
-        Ok(RewriteOutcome {
-            expr,
-            term: out.term,
-            stats: out.stats,
-            trace: out.trace,
-            budget_exhausted: out.budget_exhausted,
-            exploration: out.exploration,
-        })
+        };
+        Ok((out, outcome.trace))
     }
 }

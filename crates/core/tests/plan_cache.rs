@@ -3,7 +3,7 @@
 //! bypasses, and the cache stays bounded.
 
 use eds_adt::Value;
-use eds_core::Dbms;
+use eds_core::{lera::expr_to_term, Dbms, OptLevel};
 
 fn film_dbms() -> Dbms {
     let mut dbms = Dbms::new().unwrap();
@@ -43,24 +43,48 @@ const QUERY: &str = "SELECT Title FROM FILM, APPEARS_IN \
 
 #[test]
 fn hit_returns_the_identical_plan() {
-    let dbms = film_dbms();
+    let mut dbms = film_dbms();
     let prepared = dbms.prepare(QUERY).unwrap();
-    assert_eq!(dbms.rewriter.plan_cache_len(), 0);
+    let mut uncached = dbms.rewriter.clone();
+    uncached.set_plan_cache_cap(0);
+    let levels = [OptLevel::None, OptLevel::Simple, OptLevel::Full];
+    for (i, level) in levels.into_iter().enumerate() {
+        dbms.set_opt_level(level);
+        assert_eq!(dbms.rewriter.plan_cache_len(), i);
 
-    let cold = dbms.rewrite(&prepared).unwrap();
-    assert_eq!(dbms.rewriter.plan_cache_len(), 1);
-    let warm = dbms.rewrite(&prepared).unwrap();
-    assert_eq!(dbms.rewriter.plan_cache_len(), 1, "hit must not re-insert");
+        let cold = dbms.rewrite(&prepared).unwrap();
+        assert_eq!(dbms.rewriter.plan_cache_len(), i + 1, "{level}");
+        let warm = dbms.rewrite(&prepared).unwrap();
+        assert_eq!(
+            dbms.rewriter.plan_cache_len(),
+            i + 1,
+            "{level}: hit must not re-insert"
+        );
+        assert_eq!(cold.term, warm.term);
+        assert_eq!(cold.expr, warm.expr);
+        assert_eq!(cold.stats, warm.stats);
+        assert_eq!(cold.budget_exhausted, warm.budget_exhausted);
 
-    assert_eq!(cold.term, warm.term);
-    assert_eq!(cold.expr, warm.expr);
-    assert_eq!(cold.stats, warm.stats);
-    assert_eq!(cold.budget_exhausted, warm.budget_exhausted);
-
-    // And both equal what the kernel produces without any cache.
-    let uncached = dbms.rewrite_uncached(&prepared).unwrap();
-    assert_eq!(uncached.term, warm.term);
-    assert_eq!(dbms.rewriter.plan_cache_len(), 1, "uncached must not fill");
+        // And both equal what the kernel produces with the cache
+        // disabled, and what the traced entry produces.
+        let term = expr_to_term(&prepared.expr);
+        let off = uncached
+            .rewrite_term_leveled(term.clone(), &dbms.db, &dbms.constraints, level)
+            .unwrap();
+        let (traced, _) = dbms
+            .rewriter
+            .trace_term(term, &dbms.db, &dbms.constraints, level)
+            .unwrap();
+        for (what, out) in [("cap 0", off), ("traced", traced)] {
+            assert_eq!(out.term, warm.term, "{level}: {what}");
+            assert_eq!(
+                (out.stats.condition_checks, out.stats.applications),
+                (warm.stats.condition_checks, warm.stats.applications),
+                "{level}: {what}"
+            );
+        }
+    }
+    assert_eq!(uncached.plan_cache_len(), 0, "cap 0 must not fill");
 }
 
 #[test]
@@ -114,7 +138,7 @@ fn every_mutation_class_invalidates() {
 
 #[test]
 fn tracing_bypasses_the_cache() {
-    let mut dbms = film_dbms();
+    let dbms = film_dbms();
     // The tautological conjunct makes the simplify block fire, so the
     // traced rewrite has applications to record.
     let prepared = dbms
@@ -122,17 +146,30 @@ fn tracing_bypasses_the_cache() {
         .unwrap();
     dbms.rewrite(&prepared).unwrap();
     assert_eq!(dbms.rewriter.plan_cache_len(), 1);
+    let before = dbms.rewriter.plan_cache_stats();
 
-    dbms.rewriter.collect_trace = true;
-    let traced = dbms.rewrite(&prepared).unwrap();
+    let (_, trace) = dbms
+        .rewriter
+        .trace_term(
+            expr_to_term(&prepared.expr),
+            &dbms.db,
+            &dbms.constraints,
+            dbms.opt_level(),
+        )
+        .unwrap();
     assert!(
-        !traced.trace.events().is_empty(),
+        !trace.events().is_empty(),
         "a traced rewrite of this query must record applications"
     );
     assert_eq!(
         dbms.rewriter.plan_cache_len(),
         1,
         "tracing must neither hit nor fill the cache"
+    );
+    assert_eq!(
+        dbms.rewriter.plan_cache_stats(),
+        before,
+        "tracing must not count lookups"
     );
 }
 
@@ -171,8 +208,20 @@ fn counters_track_hits_misses_and_invalidations() {
     assert_eq!(stats.evictions, 0);
 
     // Uncached rewrites touch no counter.
-    dbms.rewrite_uncached(&prepared).unwrap();
-    assert_eq!(dbms.rewriter.plan_cache_stats(), stats);
+    let mut uncached = dbms.rewriter.clone();
+    uncached.set_plan_cache_cap(0);
+    uncached
+        .rewrite_term_leveled(
+            expr_to_term(&prepared.expr),
+            &dbms.db,
+            &dbms.constraints,
+            dbms.opt_level(),
+        )
+        .unwrap();
+    assert_eq!(
+        uncached.plan_cache_stats(),
+        eds_core::PlanCacheStats::default()
+    );
 
     // Invalidation events are counted (and the next rewrite misses).
     let invalidations_before = stats.invalidations;
@@ -193,6 +242,7 @@ fn counters_track_hits_misses_and_invalidations() {
 #[test]
 fn capacity_is_configurable_and_evictions_are_counted() {
     let mut dbms = film_dbms();
+    assert_eq!(dbms.rewriter.plan_cache_cap(), 256, "default cap");
     dbms.rewriter.set_plan_cache_cap(3);
     assert_eq!(dbms.rewriter.plan_cache_cap(), 3);
 
@@ -221,24 +271,4 @@ fn capacity_is_configurable_and_evictions_are_counted() {
         (stats.hits, stats.misses),
         "cap 0 must bypass the counters too"
     );
-}
-
-#[test]
-fn capacity_comes_from_the_environment() {
-    // Safe under edition 2021; the only cross-test effect is a smaller
-    // cap for rewriters constructed while the variable is set, which no
-    // other assertion depends on.
-    std::env::set_var("EDS_PLAN_CACHE_CAP", "2");
-    let dbms = film_dbms();
-    std::env::remove_var("EDS_PLAN_CACHE_CAP");
-    assert_eq!(dbms.rewriter.plan_cache_cap(), 2);
-    for i in 0..5 {
-        let p = dbms
-            .prepare(&format!("SELECT Title FROM FILM WHERE Numf = {i} ;"))
-            .unwrap();
-        dbms.rewrite(&p).unwrap();
-        assert!(dbms.rewriter.plan_cache_len() <= 2);
-    }
-    // Unset (or garbage) falls back to the 256 default.
-    assert_eq!(Dbms::new().unwrap().rewriter.plan_cache_cap(), 256);
 }

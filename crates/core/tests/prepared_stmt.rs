@@ -1,6 +1,7 @@
 //! Parameterized prepared statements: prepare once, rewrite once,
 //! execute many. Covers bind arity, NULL binds, Int/Real widening, the
-//! shape-tier cache counters, epoch invalidation, parameter-independence
+//! prepared-statement plan-cache counters, epoch invalidation, statements
+//! run on a foreign `Dbms`, parameter-independence
 //! of value-dependent rewrites, and a differential suite asserting
 //! `stmt.execute(&binds)` is byte-identical to running the
 //! literal-substituted SQL through the reference interpreter across
@@ -165,58 +166,116 @@ fn shape_tier_counts_hits_and_shares_across_binds() {
     let sql = "SELECT Name FROM EMP WHERE Salary > ? ;";
     let stmt = dbms.prepare_stmt(sql).unwrap();
     let cold = dbms.rewriter.plan_cache_stats();
-    assert_eq!(cold.shape_misses, 1, "first prepare misses the shape tier");
+    assert_eq!(cold.shape_misses, 1, "first prepare misses the cache");
     assert_eq!(cold.shape_hits, 0);
-    assert_eq!(dbms.rewriter.shape_cache_len(), 1);
+    assert_eq!((cold.hits, cold.misses), (0, 1), "and counts as a lookup");
+    assert_eq!(dbms.rewriter.plan_cache_len(), 1);
 
-    // Re-preparing the same text hits the shape tier: the rewrite and
-    // the lowering are both skipped.
+    // Re-preparing the same text hits the one cache: the rewrite is
+    // skipped.
     let again = dbms.prepare_stmt(sql).unwrap();
     let warm = dbms.rewriter.plan_cache_stats();
     assert_eq!((warm.shape_hits, warm.shape_misses), (1, 1));
+    assert_eq!((warm.hits, warm.misses), (1, 1));
+    assert_eq!(dbms.rewriter.plan_cache_len(), 1);
 
-    // Executions with different binds share the single cached shape:
-    // no new entries, no further shape traffic.
+    // Executions with different binds share the single cached plan:
+    // no new entries, no further cache traffic.
     for i in 0..10 {
         stmt.execute(&dbms, &[Value::Int(i)]).unwrap();
         again.execute(&dbms, &[Value::Int(i * 100)]).unwrap();
     }
-    let after = dbms.rewriter.plan_cache_stats();
-    assert_eq!((after.shape_hits, after.shape_misses), (1, 1));
-    assert_eq!(dbms.rewriter.shape_cache_len(), 1);
+    assert_eq!(dbms.rewriter.plan_cache_stats(), warm);
+    assert_eq!(dbms.rewriter.plan_cache_len(), 1);
 
-    // Clones start cold, like the term tier.
-    assert_eq!(dbms.rewriter.clone().shape_cache_len(), 0);
+    // Clones start cold.
+    assert_eq!(dbms.rewriter.clone().plan_cache_len(), 0);
 }
 
 #[test]
 fn epoch_invalidation_re_rewrites_transparently() {
     let mut dbms = emp_dbms();
-    let stmt = dbms
-        .prepare_stmt("SELECT Name FROM EMP WHERE Salary > ? ;")
-        .unwrap();
+    let sql = "SELECT Name FROM EMP WHERE Salary > ? ;";
+    let stmt = dbms.prepare_stmt(sql).unwrap();
+    let sibling = dbms.prepare_stmt(sql).unwrap();
     let baseline = stmt.execute(&dbms, &[Value::Int(1000)]).unwrap();
     assert_eq!(baseline.rows.len(), 3);
-    let misses_before = dbms.rewriter.plan_cache_stats().shape_misses;
 
-    // A rule-base mutation advances the epoch and clears both tiers.
+    // A rule-base mutation advances the epoch and clears the cache.
     dbms.add_rule_source("StmtNoop : f AND TRUE / --> f / ;")
         .unwrap();
-    assert_eq!(dbms.rewriter.shape_cache_len(), 0, "mutation clears tier");
+    assert_eq!(dbms.rewriter.plan_cache_len(), 0, "mutation clears cache");
+    let before = dbms.rewriter.plan_cache_stats();
 
     // The next execute notices the stale epoch, re-rewrites through the
-    // shape tier, and still answers correctly.
+    // plan cache, and still answers correctly.
     let refreshed = stmt.execute(&dbms, &[Value::Int(1000)]).unwrap();
     assert_eq!(refreshed.rows, baseline.rows);
     let stats = dbms.rewriter.plan_cache_stats();
-    assert_eq!(stats.shape_misses, misses_before + 1);
-    assert_eq!(dbms.rewriter.shape_cache_len(), 1);
+    assert_eq!(stats.shape_misses, before.shape_misses + 1);
+    assert_eq!(stats.misses, before.misses + 1);
+    assert_eq!(dbms.rewriter.plan_cache_len(), 1);
+
+    // The sibling statement's refresh finds the fresh plan: one miss and
+    // one hit for the two statements.
+    let sibling_rows = sibling.execute(&dbms, &[Value::Int(1000)]).unwrap();
+    assert_eq!(sibling_rows.rows, baseline.rows);
+    let both = dbms.rewriter.plan_cache_stats();
+    assert_eq!(
+        (
+            both.shape_hits - before.shape_hits,
+            both.shape_misses - before.shape_misses
+        ),
+        (1, 1)
+    );
+    assert_eq!(
+        (both.hits - before.hits, both.misses - before.misses),
+        (1, 1)
+    );
 
     // Once refreshed, further executes stay off the rewriter entirely.
     stmt.execute(&dbms, &[Value::Int(0)]).unwrap();
+    sibling.execute(&dbms, &[Value::Int(0)]).unwrap();
+    assert_eq!(dbms.rewriter.plan_cache_stats(), both);
+}
+
+#[test]
+fn statement_from_another_dbms_is_rejected() {
+    // Same table name, same rows, different attribute order: the plan
+    // prepared on `a` reads X and Y at positions `b` does not have them
+    // at.
+    let mut a = Dbms::new().unwrap();
+    a.execute("TABLE T (X : INT, Y : INT) ; INSERT INTO T VALUES (1, 10), (2, 20) ;")
+        .unwrap();
+    let mut b = Dbms::new().unwrap();
+    b.execute("TABLE T (Y : INT, X : INT) ; INSERT INTO T VALUES (10, 1), (20, 2) ;")
+        .unwrap();
+    let sql = "SELECT Y FROM T WHERE X = ? ;";
+    let stmt = a.prepare_stmt(sql).unwrap();
     assert_eq!(
-        dbms.rewriter.plan_cache_stats().shape_misses,
-        stats.shape_misses
+        stmt.execute(&a, &[Value::Int(1)]).unwrap().rows,
+        a.query("SELECT Y FROM T WHERE X = 1 ;").unwrap().rows
+    );
+    assert_eq!(
+        b.query("SELECT Y FROM T WHERE X = 1 ;").unwrap().rows,
+        vec![vec![Value::Int(10)].into()]
+    );
+
+    match stmt.execute(&b, &[Value::Int(1)]) {
+        Err(CoreError::ForeignStatement { sql: got }) => assert_eq!(got, sql),
+        other => panic!("expected ForeignStatement, got {other:?}"),
+    }
+    // A rewriter clone is another rewriter too: its epochs are its own.
+    b.rewriter = a.rewriter.clone();
+    assert!(matches!(
+        stmt.execute(&b, &[Value::Int(1)]),
+        Err(CoreError::ForeignStatement { .. })
+    ));
+    // Prepared on `b`, the statement answers like `b.query`.
+    let local = b.prepare_stmt(sql).unwrap();
+    assert_eq!(
+        local.execute(&b, &[Value::Int(1)]).unwrap().rows,
+        b.query("SELECT Y FROM T WHERE X = 1 ;").unwrap().rows
     );
 }
 

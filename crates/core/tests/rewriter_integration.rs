@@ -2,7 +2,7 @@
 //! through the full parse → translate → rewrite → execute pipeline.
 
 use eds_adt::Value;
-use eds_core::{figure10_constraints, Dbms};
+use eds_core::{figure10_constraints, Dbms, Prepared};
 use eds_lera::Expr;
 use eds_rewrite::Limit;
 
@@ -390,8 +390,10 @@ fn rewriter_is_extensible_with_user_rules() {
         proj: proj.clone(),
     };
     let rewritten = dbms
-        .rewriter
-        .rewrite(&custom, &dbms.db, &dbms.constraints)
+        .rewrite(&Prepared {
+            expr: custom,
+            ..prepared
+        })
         .unwrap();
     let Expr::Search { pred, .. } = &rewritten.expr else {
         panic!()
@@ -563,16 +565,22 @@ fn codd_primitives_normalize_into_search() {
     };
     let rewritten = dbms
         .rewriter
-        .rewrite(&plan, &dbms.db, &dbms.constraints)
+        .rewrite_term_leveled(
+            eds_lera::expr_to_term(&plan),
+            &dbms.db,
+            &dbms.constraints,
+            dbms.opt_level(),
+        )
         .unwrap();
+    let rewritten = eds_lera::expr_from_term(&rewritten.term).unwrap();
     // Everything collapses into one compound search over the bases.
-    let Expr::Search { inputs, .. } = &rewritten.expr else {
-        panic!("expected search, got {}", rewritten.expr)
+    let Expr::Search { inputs, .. } = &rewritten else {
+        panic!("expected search, got {rewritten}")
     };
     assert_eq!(inputs.len(), 2);
     assert!(inputs.iter().all(|i| matches!(i, Expr::Base(_))));
     let base = dbms.run_expr(&plan).unwrap();
-    let opt = dbms.run_expr(&rewritten.expr).unwrap();
+    let opt = dbms.run_expr(&rewritten).unwrap();
     assert!(base.set_eq(&opt));
     assert_eq!(opt.sorted_rows(), vec![vec![Value::Int(2)]]);
 }

@@ -2,7 +2,7 @@
 //! trace — the observability the paper's "trace of what fired" story
 //! needs.
 
-use eds_core::Dbms;
+use eds_core::{lera::expr_to_term, Dbms};
 
 fn dbms() -> Dbms {
     let mut dbms = Dbms::new().unwrap();
@@ -36,14 +36,18 @@ fn explain_shows_both_plans_and_the_trace() {
 fn trace_records_every_application_in_order() {
     let dbms = dbms();
     let prepared = dbms.prepare("SELECT Y FROM V WHERE X = 1 ;").unwrap();
-    let mut tracing = dbms.rewriter.clone();
-    tracing.collect_trace = true;
-    let outcome = tracing
-        .rewrite(&prepared.expr, &dbms.db, &dbms.constraints)
+    let (outcome, trace) = dbms
+        .rewriter
+        .trace_term(
+            expr_to_term(&prepared.expr),
+            &dbms.db,
+            &dbms.constraints,
+            dbms.opt_level(),
+        )
         .unwrap();
-    let events = outcome.trace.events();
+    let events = trace.events();
     assert_eq!(events.len() as u64, outcome.stats.applications);
-    assert!(outcome.trace.count_rule("SearchMerge") >= 1);
+    assert!(trace.count_rule("SearchMerge") >= 1);
     // Events carry positions and size deltas.
     for e in events {
         assert!(!e.rule.is_empty() && !e.block.is_empty());
@@ -55,7 +59,13 @@ fn trace_records_every_application_in_order() {
 fn tracing_off_by_default_keeps_outcome_lean() {
     let dbms = dbms();
     let prepared = dbms.prepare("SELECT Y FROM V WHERE X = 1 ;").unwrap();
+    // The cached path records no trace: only `trace_term` (and
+    // `explain`, built on it) pays for one.
     let outcome = dbms.rewrite(&prepared).unwrap();
-    assert!(outcome.trace.events().is_empty());
     assert!(outcome.stats.applications > 0);
+    assert_eq!(dbms.rewriter.plan_cache_len(), 1);
+    let stats = dbms.rewriter.plan_cache_stats();
+    dbms.explain("SELECT Y FROM V WHERE X = 1 ;").unwrap();
+    assert_eq!(dbms.rewriter.plan_cache_stats(), stats);
+    assert_eq!(dbms.rewriter.plan_cache_len(), 1);
 }
