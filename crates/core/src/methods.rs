@@ -373,8 +373,8 @@ fn addconstraints(args: &[Term], binds: &mut Bindings, env: &dyn TermEnv) -> RwR
     let inputs = resolve_list(&args[0], binds)
         .ok_or_else(|| method_err("ADDCONSTRAINTS", "l must resolve to a list"))?;
     let f = resolve(&args[1], binds);
-    let schemas: Vec<Option<Vec<eds_adt::Type>>> =
-        inputs.iter().map(|i| env.rel_schema(i)).collect();
+    // Schemas are inferred only for the inputs `f` references, once each.
+    let mut schemas: Vec<Option<Option<Vec<eds_adt::Type>>>> = vec![None; inputs.len()];
 
     let mut conjuncts = flatten_and(&f);
     let existing = conjuncts.clone();
@@ -386,7 +386,10 @@ fn addconstraints(args: &[Term], binds: &mut Bindings, env: &dyn TermEnv) -> RwR
             continue;
         }
         seen_refs.push((rel, attr));
-        let Some(Some(schema)) = schemas.get((rel - 1) as usize) else {
+        let Some(i) = usize::try_from(rel - 1).ok().filter(|&i| i < inputs.len()) else {
+            continue;
+        };
+        let Some(schema) = schemas[i].get_or_insert_with(|| env.rel_schema(&inputs[i])) else {
             continue;
         };
         let Some(ty) = schema.get((attr - 1) as usize) else {

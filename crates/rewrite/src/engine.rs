@@ -8,16 +8,19 @@
 //! * **head gate** — a rule whose LHS is an application `F(...)` can only
 //!   match at `F` nodes; subtrees whose cached functor fingerprint lacks
 //!   `F`'s bit are skipped wholesale without visiting them;
-//! * **dirty-region scan** — [`apply_rule_once_dirty`] restricts the walk
-//!   to the spine and subtree of previously-rewritten positions, for the
-//!   block loop's incremental worklist. Positions outside the dirty
+//! * **dirty-region scan** — given the paths the strategy's run-wide
+//!   worklist logged since the rule last failed, `scan_rule` restricts
+//!   the walk to the spine and subtree of each. Positions outside that
 //!   region are provably unchanged subtrees where the rule already failed
 //!   to match, so skipping them cannot change which position matches
 //!   first.
+//!
+//! Constraint-position method calls go through the run's
+//! [`MethodMemo`], so a call that failed once is not run again.
 
 use crate::error::{RewriteError, RwResult};
 use crate::matching::{match_term, Control};
-use crate::methods::{eval_constraint, normalize_builtins, MethodRegistry, TermEnv};
+use crate::methods::{eval_constraint, normalize_builtins, MethodMemo, MethodRegistry, TermEnv};
 use crate::rule::Rule;
 use crate::symbol::Symbol;
 use crate::term::{Bindings, Term};
@@ -32,7 +35,10 @@ pub struct RewriteStats {
     pub condition_checks: u64,
     /// Number of successful rule applications.
     pub applications: u64,
-    /// Number of candidate matches rejected by constraints or methods.
+    /// Candidate matches the scanner saw and rejected (constraint or
+    /// method failure, or a no-op replacement). This counts *scan work*,
+    /// not semantics: it falls when the worklist re-scans fewer positions,
+    /// while the rewrite result and `condition_checks` stay the same.
     pub rejected: u64,
     /// Candidate rewrites scored by cost-guided exploration (including
     /// the mainline saturation result). Zero outside `Full` runs.
@@ -76,6 +82,7 @@ fn match_at(
     sub: &Term,
     methods: &MethodRegistry,
     env: &dyn TermEnv,
+    memo: &mut MethodMemo,
     rejected: &mut u64,
 ) -> RwResult<Option<Term>> {
     let mut rewritten: Option<Term> = None;
@@ -86,7 +93,7 @@ fn match_at(
         let mut candidate = b.clone();
         // 1. Constraints.
         for c in &rule.constraints {
-            match eval_constraint(c, &mut candidate, methods, env) {
+            match eval_constraint(c, &mut candidate, methods, env, memo) {
                 Ok(true) => {}
                 Ok(false) => {
                     *rejected += 1;
@@ -152,6 +159,7 @@ fn walk(
     path: &mut Vec<usize>,
     methods: &MethodRegistry,
     env: &dyn TermEnv,
+    memo: &mut MethodMemo,
     rejected: &mut u64,
 ) -> RwResult<Option<(Term, Vec<usize>)>> {
     let try_here = match head {
@@ -159,7 +167,7 @@ fn walk(
         None => true,
     };
     if try_here {
-        if let Some(new_sub) = match_at(rule, node, methods, env, rejected)? {
+        if let Some(new_sub) = match_at(rule, node, methods, env, memo, rejected)? {
             return Ok(Some((new_sub, path.clone())));
         }
     }
@@ -171,7 +179,7 @@ fn walk(
                 }
             }
             path.push(i);
-            let found = walk(rule, a, head, path, methods, env, rejected)?;
+            let found = walk(rule, a, head, path, methods, env, memo, rejected)?;
             path.pop();
             if found.is_some() {
                 return Ok(found);
@@ -196,12 +204,13 @@ fn walk_dirty(
     suffixes: &[&[usize]],
     methods: &MethodRegistry,
     env: &dyn TermEnv,
+    memo: &mut MethodMemo,
     rejected: &mut u64,
 ) -> RwResult<Option<(Term, Vec<usize>)>> {
     if suffixes.iter().any(|s| s.is_empty()) {
         // The whole subtree is dirty.
         if head.is_none_or(|h| node.may_contain(h)) {
-            return walk(rule, node, head, path, methods, env, rejected);
+            return walk(rule, node, head, path, methods, env, memo, rejected);
         }
         return Ok(None);
     }
@@ -212,7 +221,7 @@ fn walk_dirty(
         None => true,
     };
     if try_here {
-        if let Some(new_sub) = match_at(rule, node, methods, env, rejected)? {
+        if let Some(new_sub) = match_at(rule, node, methods, env, memo, rejected)? {
             return Ok(Some((new_sub, path.clone())));
         }
     }
@@ -229,7 +238,17 @@ fn walk_dirty(
             // point past the current arity; they are simply ignored.
             let Some(a) = args.get(i) else { continue };
             path.push(i);
-            let found = walk_dirty(rule, a, head, path, &child_suffixes, methods, env, rejected)?;
+            let found = walk_dirty(
+                rule,
+                a,
+                head,
+                path,
+                &child_suffixes,
+                methods,
+                env,
+                memo,
+                rejected,
+            )?;
             path.pop();
             if found.is_some() {
                 return Ok(found);
@@ -253,41 +272,28 @@ pub fn apply_rule_once(
     env: &dyn TermEnv,
     stats: &mut RewriteStats,
 ) -> RwResult<Option<(Term, Application)>> {
-    stats.condition_checks += 1;
-    let lhs_head = rule.lhs.head();
-    if let Some(h) = lhs_head {
-        if !term.may_contain(h) {
-            return Ok(None);
-        }
-    }
-    let mut rejected = 0;
-    let found = walk(
-        rule,
-        term,
-        lhs_head,
-        &mut Vec::new(),
-        methods,
-        env,
-        &mut rejected,
-    )?;
-    stats.rejected += rejected;
-    finish(term, found, stats)
+    let mut memo = MethodMemo::default();
+    scan_rule(rule, term, None, methods, env, &mut memo, stats)
 }
 
-/// Like [`apply_rule_once`], but only re-examines the dirty region: for
-/// each path in `dirty`, the spine from the root to that path plus the
-/// entire subtree below it. Sound whenever the rule is known not to match
-/// anywhere on the term as it was before the subterms at `dirty` were
-/// replaced (the block loop's bookkeeping guarantees exactly that).
+/// [`apply_rule_once`] as the strategy kernel runs it: with the run's
+/// method memo and, when `dirty` is given, re-examining only the dirty
+/// region — for each path in `dirty`, the spine from the root to that
+/// path plus the entire subtree below it. A restricted scan is sound
+/// whenever the rule is known not to match anywhere on the term as it was
+/// before the subterms at `dirty` were replaced (the worklist's
+/// bookkeeping guarantees exactly that), and it then finds the same first
+/// match as a full scan.
 ///
-/// Counts one condition check, like any other attempt — the paper's
-/// `Limit` accounting does not change with the scan strategy.
-pub fn apply_rule_once_dirty(
+/// Counts one condition check either way — the paper's `Limit`
+/// accounting does not change with the scan strategy.
+pub(crate) fn scan_rule(
     rule: &Rule,
     term: &Term,
-    dirty: &[Vec<usize>],
+    dirty: Option<&[Vec<usize>]>,
     methods: &MethodRegistry,
     env: &dyn TermEnv,
+    memo: &mut MethodMemo,
     stats: &mut RewriteStats,
 ) -> RwResult<Option<(Term, Application)>> {
     stats.condition_checks += 1;
@@ -297,27 +303,35 @@ pub fn apply_rule_once_dirty(
             return Ok(None);
         }
     }
-    let suffixes: Vec<&[usize]> = dirty.iter().map(Vec::as_slice).collect();
     let mut rejected = 0;
-    let found = walk_dirty(
-        rule,
-        term,
-        lhs_head,
-        &mut Vec::new(),
-        &suffixes,
-        methods,
-        env,
-        &mut rejected,
-    )?;
+    let mut path = Vec::new();
+    let found = match dirty {
+        None => walk(
+            rule,
+            term,
+            lhs_head,
+            &mut path,
+            methods,
+            env,
+            memo,
+            &mut rejected,
+        )?,
+        Some(paths) => {
+            let suffixes: Vec<&[usize]> = paths.iter().map(Vec::as_slice).collect();
+            walk_dirty(
+                rule,
+                term,
+                lhs_head,
+                &mut path,
+                &suffixes,
+                methods,
+                env,
+                memo,
+                &mut rejected,
+            )?
+        }
+    };
     stats.rejected += rejected;
-    finish(term, found, stats)
-}
-
-fn finish(
-    term: &Term,
-    found: Option<(Term, Vec<usize>)>,
-    stats: &mut RewriteStats,
-) -> RwResult<Option<(Term, Application)>> {
     match found {
         Some((new_sub, path)) => {
             stats.applications += 1;
@@ -333,6 +347,19 @@ mod tests {
     use super::*;
     use crate::methods::BasicEnv;
     use crate::rule::MethodCall;
+
+    /// A restricted scan with a fresh memo.
+    fn apply_rule_once_dirty(
+        rule: &Rule,
+        term: &Term,
+        dirty: &[Vec<usize>],
+        methods: &MethodRegistry,
+        env: &dyn TermEnv,
+        stats: &mut RewriteStats,
+    ) -> RwResult<Option<(Term, Application)>> {
+        let mut memo = MethodMemo::default();
+        scan_rule(rule, term, Some(dirty), methods, env, &mut memo, stats)
+    }
 
     fn apply(rule: &Rule, term: &Term) -> Option<Term> {
         let env = BasicEnv::new();

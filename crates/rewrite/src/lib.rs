@@ -74,7 +74,7 @@ pub use fixes::{apply_fixes, Fix, FixOutcome, FixTarget};
 pub use matching::{all_matches, find_match, match_term, Control};
 pub use methods::{
     eval_constraint, eval_value, is_constant_term, normalize_builtins, resolve, BasicEnv,
-    MethodRegistry, TermEnv,
+    MethodMemo, MethodRegistry, TermEnv,
 };
 pub use rule::{MethodCall, Rule};
 pub use strategy::{

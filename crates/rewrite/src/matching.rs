@@ -8,6 +8,11 @@
 //! matcher enumerates alternatives through a callback and backtracks; the
 //! engine's callback checks rule constraints and accepts the first
 //! satisfying match.
+//!
+//! One `Bindings` is threaded through the whole enumeration by `&mut`:
+//! every site that binds a variable removes the binding again when the
+//! rest of the match fails (`Control::Continue`), so backtracking restores
+//! the state without cloning the substitution at each argument.
 
 use crate::symbol::{well_known, Symbol};
 use crate::term::{Bindings, Term};
@@ -24,6 +29,11 @@ pub enum Control {
 /// Callback invoked once per successful match with the extended bindings.
 pub type MatchSink<'a> = dyn FnMut(&Bindings) -> Control + 'a;
 
+/// The matcher's internal continuation: the rest of the match, run on the
+/// bindings made so far. It must leave `binds` as it found them when it
+/// returns `Control::Continue`.
+type Cont<'a> = dyn FnMut(&mut Bindings) -> Control + 'a;
+
 /// Enumerate matches of `pattern` against `subject` starting from `binds`.
 /// Returns `Control::Stop` as soon as the sink accepts a match.
 pub fn match_term(
@@ -31,6 +41,15 @@ pub fn match_term(
     subject: &Term,
     binds: &mut Bindings,
     sink: &mut MatchSink<'_>,
+) -> Control {
+    match_into(pattern, subject, binds, &mut |b: &mut Bindings| sink(b))
+}
+
+fn match_into(
+    pattern: &Term,
+    subject: &Term,
+    binds: &mut Bindings,
+    sink: &mut Cont<'_>,
 ) -> Control {
     match pattern {
         Term::Var(v) => {
@@ -80,16 +99,13 @@ fn match_pairwise(
     pats: &[Term],
     subs: &[Term],
     binds: &mut Bindings,
-    sink: &mut MatchSink<'_>,
+    sink: &mut Cont<'_>,
 ) -> Control {
     match (pats.split_first(), subs.split_first()) {
         (None, None) => sink(binds),
         (Some((p0, prest)), Some((s0, srest))) => {
-            let mut inner = |b: &Bindings| {
-                let mut b2 = b.clone();
-                match_pairwise(prest, srest, &mut b2, sink)
-            };
-            match_term(p0, s0, binds, &mut inner)
+            let mut inner = |b: &mut Bindings| match_pairwise(prest, srest, b, sink);
+            match_into(p0, s0, binds, &mut inner)
         }
         _ => Control::Continue,
     }
@@ -101,7 +117,7 @@ fn match_segments(
     pats: &[Term],
     subs: &[Term],
     binds: &mut Bindings,
-    sink: &mut MatchSink<'_>,
+    sink: &mut Cont<'_>,
 ) -> Control {
     match pats.split_first() {
         None => {
@@ -113,9 +129,9 @@ fn match_segments(
         }
         Some((Term::SeqVar(v), prest)) => {
             if let Some(bound) = binds.get_seq(v) {
-                let bound = bound.to_vec();
-                if subs.len() >= bound.len() && subs[..bound.len()] == bound[..] {
-                    return match_segments(prest, &subs[bound.len()..], binds, sink);
+                let n = bound.len();
+                if subs.len() >= n && subs[..n] == *bound {
+                    return match_segments(prest, &subs[n..], binds, sink);
                 }
                 return Control::Continue;
             }
@@ -146,11 +162,8 @@ fn match_segments(
                 return Control::Continue;
             }
             let (s0, srest) = subs.split_first().expect("non-empty");
-            let mut inner = |b: &Bindings| {
-                let mut b2 = b.clone();
-                match_segments(prest, srest, &mut b2, sink)
-            };
-            match_term(p0, s0, binds, &mut inner)
+            let mut inner = |b: &mut Bindings| match_segments(prest, srest, b, sink);
+            match_into(p0, s0, binds, &mut inner)
         }
     }
 }
@@ -163,7 +176,7 @@ fn match_multiset(
     pats: &[Term],
     subs: &[Term],
     binds: &mut Bindings,
-    sink: &mut MatchSink<'_>,
+    sink: &mut Cont<'_>,
     canonical_order: bool,
 ) -> Control {
     // Split patterns into element patterns and sequence variables.
@@ -195,21 +208,19 @@ fn match_elems(
     remaining: &[Term],
     seq_vars: &[Symbol],
     binds: &mut Bindings,
-    sink: &mut MatchSink<'_>,
+    sink: &mut Cont<'_>,
     canonical_order: bool,
 ) -> Control {
     match elem_pats.split_first() {
         None => distribute_rest(remaining, seq_vars, binds, sink, canonical_order),
         Some((p0, prest)) => {
             for i in 0..remaining.len() {
-                let candidate = remaining[i].clone();
-                let mut inner = |b: &Bindings| {
-                    let mut b2 = b.clone();
+                let mut inner = |b: &mut Bindings| {
                     let mut rest: Vec<Term> = remaining.to_vec();
                     rest.remove(i);
-                    match_elems(prest, &rest, seq_vars, &mut b2, sink, canonical_order)
+                    match_elems(prest, &rest, seq_vars, b, sink, canonical_order)
                 };
-                if match_term(p0, &candidate, binds, &mut inner) == Control::Stop {
+                if match_into(p0, &remaining[i], binds, &mut inner) == Control::Stop {
                     return Control::Stop;
                 }
             }
@@ -223,7 +234,7 @@ fn distribute_rest(
     remaining: &[Term],
     seq_vars: &[Symbol],
     binds: &mut Bindings,
-    sink: &mut MatchSink<'_>,
+    sink: &mut Cont<'_>,
     canonical_order: bool,
 ) -> Control {
     match seq_vars.split_first() {

@@ -9,12 +9,14 @@
 //! functions including the constraints should be written using known ADT
 //! functions" (Section 4.1).
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use eds_adt::{EvalContext, FunctionRegistry, ObjectStore, Type, TypeRegistry, Value};
 
 use crate::error::{RewriteError, RwResult};
+use crate::symbol::{well_known, Symbol};
 use crate::term::{Bindings, Term};
 
 /// Environment a rewrite session runs in: value-level functions, objects,
@@ -265,12 +267,17 @@ impl MethodRegistry {
 
     /// Whether `name` is a registered method.
     pub fn contains(&self, name: &str) -> bool {
-        self.methods.contains_key(&name.to_ascii_uppercase())
+        self.get(name).is_some()
     }
 
     /// The declared signature of `name`, when one was registered.
     pub fn signature(&self, name: &str) -> Option<MethodSig> {
-        self.sigs.get(&name.to_ascii_uppercase()).copied()
+        self.sigs.get(lookup_key(name).as_ref()).copied()
+    }
+
+    /// The implementation registered under `name`, if any.
+    fn get(&self, name: &str) -> Option<&MethodFn> {
+        self.methods.get(lookup_key(name).as_ref())
     }
 
     /// Invoke a method.
@@ -282,10 +289,70 @@ impl MethodRegistry {
         env: &dyn TermEnv,
     ) -> RwResult<bool> {
         let f = self
-            .methods
-            .get(&name.to_ascii_uppercase())
+            .get(name)
             .ok_or_else(|| RewriteError::UnknownMethod(name.to_owned()))?;
         f(args, binds, env)
+    }
+}
+
+/// Names are registered upper-cased and matched case-insensitively. Rule
+/// sources spell method names in upper case, so the lookup borrows the
+/// name as written and only allocates for a name with lower-case letters.
+fn lookup_key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_lowercase()) {
+        Cow::Owned(name.to_ascii_uppercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
+/// Failed constraint-position method calls of one rewrite run.
+///
+/// A method is pure in its arguments resolved under the bindings and in
+/// the environment, and the environment does not change during a run, so
+/// a call that returned `Ok(false)` once returns it again: a repeat —
+/// the same method on the same resolved arguments, from a later rescan,
+/// block or exploration candidate — is answered here without running the
+/// method. Only failures are kept; a success binds outputs and is rerun.
+/// The strategy kernel owns one memo per run and drops it when the run
+/// ends; standalone callers pass a fresh `MethodMemo::default()`.
+#[derive(Debug, Default)]
+pub struct MethodMemo {
+    failed: HashSet<(Symbol, Vec<Term>)>,
+}
+
+impl MethodMemo {
+    /// Call `f` (registered as `name`) unless the same call already failed
+    /// in this run.
+    fn call(
+        &mut self,
+        name: Symbol,
+        f: &MethodFn,
+        args: &[Term],
+        binds: &mut Bindings,
+        env: &dyn TermEnv,
+    ) -> RwResult<bool> {
+        let key = (name, args.iter().map(|a| resolve(a, binds)).collect());
+        if self.failed.contains(&key) {
+            return Ok(false);
+        }
+        let applies = f(args, binds, env)?;
+        if !applies {
+            // A failing call leaves the bindings as it found them (a
+            // multi-output method may have bound some outputs before it
+            // failed), so an answer from the memo is indistinguishable
+            // from running the method. An argument that resolved to
+            // itself was an unbound variable before the call.
+            for (arg, resolved) in args.iter().zip(&key.1) {
+                if let (Term::Var(v), Term::Var(r)) = (arg, resolved) {
+                    if v == r {
+                        binds.remove(*v);
+                    }
+                }
+            }
+            self.failed.insert(key);
+        }
+        Ok(applies)
     }
 }
 
@@ -428,24 +495,29 @@ fn three_valued_or(a: Value, b: Value) -> Value {
 ///
 /// Everything else is evaluated as a value expression which must yield a
 /// boolean (NULL counts as not satisfied).
+///
+/// Method calls that fail are recorded in `memo`, and calls it already
+/// holds are answered from it (see [`MethodMemo`]).
 pub fn eval_constraint(
     constraint: &Term,
     binds: &mut Bindings,
     methods: &MethodRegistry,
     env: &dyn TermEnv,
+    memo: &mut MethodMemo,
 ) -> RwResult<bool> {
-    if let Some((head, args)) = constraint.as_app() {
+    if let Some((head_sym, args)) = constraint.as_app_sym() {
+        let head = head_sym.as_str();
         match (head, args.len()) {
             ("AND", 2) => {
-                return Ok(eval_constraint(&args[0], binds, methods, env)?
-                    && eval_constraint(&args[1], binds, methods, env)?);
+                return Ok(eval_constraint(&args[0], binds, methods, env, memo)?
+                    && eval_constraint(&args[1], binds, methods, env, memo)?);
             }
             ("OR", 2) => {
-                return Ok(eval_constraint(&args[0], binds, methods, env)?
-                    || eval_constraint(&args[1], binds, methods, env)?);
+                return Ok(eval_constraint(&args[0], binds, methods, env, memo)?
+                    || eval_constraint(&args[1], binds, methods, env, memo)?);
             }
             ("NOT", 1) => {
-                return Ok(!eval_constraint(&args[0], binds, methods, env)?);
+                return Ok(!eval_constraint(&args[0], binds, methods, env, memo)?);
             }
             ("TRUE", 0) => return Ok(true),
             ("FALSE", 0) => return Ok(false),
@@ -485,8 +557,8 @@ pub fn eval_constraint(
                 }
             }
             _ => {
-                if methods.contains(head) {
-                    return methods.call(head, args, binds, env);
+                if let Some(f) = methods.get(head) {
+                    return memo.call(head_sym, f, args, binds, env);
                 }
             }
         }
@@ -571,8 +643,15 @@ pub fn parse_type_spec(name: &str, _types: &TypeRegistry) -> Type {
 /// right-hand sides: `APPEND(...)` concatenates list-valued arguments into
 /// a `LIST`, `SET_UNION(...)` unions set-valued arguments into a `SET`.
 /// Non-collection arguments contribute themselves. Applied bottom-up after
-/// substitution.
+/// substitution; a subtree whose fingerprint rules out all three functors
+/// is returned as a shared clone instead of being rebuilt.
 pub fn normalize_builtins(term: &Term) -> Term {
+    let builtins = well_known::append().fp_bit()
+        | well_known::set_union().fp_bit()
+        | well_known::setunion().fp_bit();
+    if term.fingerprint() & builtins == 0 {
+        return term.clone();
+    }
     match term {
         Term::App(head, args) => {
             let args: Vec<Term> = args.iter().map(normalize_builtins).collect();
@@ -607,6 +686,16 @@ mod tests {
         BasicEnv::new()
     }
 
+    /// A constraint evaluated on its own, with a fresh memo.
+    fn check(
+        c: &Term,
+        binds: &mut Bindings,
+        methods: &MethodRegistry,
+        e: &BasicEnv,
+    ) -> RwResult<bool> {
+        eval_constraint(c, binds, methods, e, &mut MethodMemo::default())
+    }
+
     #[test]
     fn eval_ground_arithmetic() {
         let e = env();
@@ -638,9 +727,9 @@ mod tests {
         binds.bind("y", Term::atom("B"));
         binds.bind_seq("x", vec![Term::atom("A"), Term::atom("B")]);
         let c = Term::app("MEMBER", vec![Term::var("y"), Term::seq("x")]);
-        assert!(eval_constraint(&c, &mut binds, &methods, &e).unwrap());
+        assert!(check(&c, &mut binds, &methods, &e).unwrap());
         binds.bind("y", Term::atom("Z"));
-        assert!(!eval_constraint(&c, &mut binds, &methods, &e).unwrap());
+        assert!(!check(&c, &mut binds, &methods, &e).unwrap());
     }
 
     #[test]
@@ -650,9 +739,9 @@ mod tests {
         let mut binds = Bindings::new();
         binds.bind("f", Term::bool(true));
         let c = Term::app("=", vec![Term::var("f"), Term::atom("TRUE")]);
-        assert!(eval_constraint(&c, &mut binds, &methods, &e).unwrap());
+        assert!(check(&c, &mut binds, &methods, &e).unwrap());
         binds.bind("f", Term::app("=", vec![Term::attr(1, 1), Term::int(5)]));
-        assert!(!eval_constraint(&c, &mut binds, &methods, &e).unwrap());
+        assert!(!check(&c, &mut binds, &methods, &e).unwrap());
     }
 
     #[test]
@@ -664,8 +753,8 @@ mod tests {
         binds.bind("y", Term::attr(1, 1));
         let c_x = Term::app("ISA", vec![Term::var("x"), Term::atom("constant")]);
         let c_y = Term::app("ISA", vec![Term::var("y"), Term::atom("constant")]);
-        assert!(eval_constraint(&c_x, &mut binds, &methods, &e).unwrap());
-        assert!(!eval_constraint(&c_y, &mut binds, &methods, &e).unwrap());
+        assert!(check(&c_x, &mut binds, &methods, &e).unwrap());
+        assert!(!check(&c_y, &mut binds, &methods, &e).unwrap());
     }
 
     #[test]
@@ -675,9 +764,9 @@ mod tests {
         let mut binds = Bindings::new();
         binds.bind("x", Term::int(3));
         let c = Term::app("ISA", vec![Term::var("x"), Term::atom("NUMERIC")]);
-        assert!(eval_constraint(&c, &mut binds, &methods, &e).unwrap());
+        assert!(check(&c, &mut binds, &methods, &e).unwrap());
         let c2 = Term::app("ISA", vec![Term::var("x"), Term::atom("CHAR")]);
-        assert!(!eval_constraint(&c2, &mut binds, &methods, &e).unwrap());
+        assert!(!check(&c2, &mut binds, &methods, &e).unwrap());
     }
 
     #[test]
@@ -758,6 +847,20 @@ mod tests {
     }
 
     #[test]
+    fn method_names_match_case_insensitively() {
+        let e = env();
+        let mut methods = MethodRegistry::with_builtins();
+        methods.register("Twice", |_, _, _| Ok(true));
+        assert!(methods.contains("TWICE") && methods.contains("twice"));
+        assert!(methods.contains("notnull"));
+        assert_eq!(methods.signature("Evaluate"), methods.signature("EVALUATE"));
+        assert!(methods.signature("EVALUATE").is_some());
+        assert!(methods
+            .call("tWiCe", &[], &mut Bindings::new(), &e)
+            .unwrap());
+    }
+
+    #[test]
     fn unknown_method_errors() {
         let e = env();
         let methods = MethodRegistry::with_builtins();
@@ -774,9 +877,9 @@ mod tests {
         binds.bind("x", Term::int(5));
         binds.bind("y", Term::int(9));
         let c = Term::app("<", vec![Term::var("x"), Term::var("y")]);
-        assert!(eval_constraint(&c, &mut binds, &methods, &e).unwrap());
+        assert!(check(&c, &mut binds, &methods, &e).unwrap());
         let c2 = Term::app(">=", vec![Term::var("x"), Term::var("y")]);
-        assert!(!eval_constraint(&c2, &mut binds, &methods, &e).unwrap());
+        assert!(!check(&c2, &mut binds, &methods, &e).unwrap());
     }
 
     #[test]
@@ -788,11 +891,11 @@ mod tests {
         // ISA(x, constant) is false: a parameter is not a constant.
         binds.bind("x", param.clone());
         let isa = Term::app("ISA", vec![Term::var("x"), Term::atom("constant")]);
-        assert!(!eval_constraint(&isa, &mut binds, &methods, &e).unwrap());
+        assert!(!check(&isa, &mut binds, &methods, &e).unwrap());
         // A value comparison against a parameter is unsatisfied, not an
         // error — the rule defers to bind time.
         let cmp = Term::app("<", vec![Term::var("x"), Term::int(10)]);
-        assert!(!eval_constraint(&cmp, &mut binds, &methods, &e).unwrap());
+        assert!(!check(&cmp, &mut binds, &methods, &e).unwrap());
         // EVALUATE refuses to fold an expression containing a parameter.
         let args = vec![
             Term::app("+", vec![param, Term::int(1)]),
@@ -803,11 +906,46 @@ mod tests {
     }
 
     #[test]
+    fn memo_answers_repeated_failures_and_restores_bindings() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // PAIR(x, a, b) binds `a` and then fails unless x is 1; it counts
+        // its calls so the test sees which ones the memo answered.
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        let mut methods = MethodRegistry::with_builtins();
+        methods.register("PAIR", move |args, binds, _env| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            bind_output(&args[1], Term::int(7), binds, "PAIR")?;
+            let x = resolve(&args[0], binds);
+            bind_output(&args[2], x.clone(), binds, "PAIR")?;
+            Ok(x == Term::int(1))
+        });
+        let e = env();
+        let c = Term::app("PAIR", vec![Term::var("x"), Term::var("a"), Term::var("b")]);
+        let mut memo = MethodMemo::default();
+        let mut binds = Bindings::new();
+        binds.bind("x", Term::int(2));
+        assert!(!eval_constraint(&c, &mut binds, &methods, &e, &mut memo).unwrap());
+        assert!(!binds.contains("a") && !binds.contains("b"));
+        assert!(!eval_constraint(&c, &mut binds, &methods, &e, &mut memo).unwrap());
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            1,
+            "repeat answered by the memo"
+        );
+        // Other resolved arguments are a different call.
+        binds.bind("x", Term::int(1));
+        assert!(eval_constraint(&c, &mut binds, &methods, &e, &mut memo).unwrap());
+        assert_eq!(binds.get("a"), Some(&Term::int(7)));
+        assert_eq!(calls.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
     fn unbound_variable_constraint_is_unsatisfied() {
         let e = env();
         let methods = MethodRegistry::with_builtins();
         let mut binds = Bindings::new();
         let c = Term::app("<", vec![Term::var("nope"), Term::int(1)]);
-        assert!(!eval_constraint(&c, &mut binds, &methods, &e).unwrap());
+        assert!(!check(&c, &mut binds, &methods, &e).unwrap());
     }
 }

@@ -5,25 +5,34 @@
 //! of passes. "Any optimizer generated with the rule language is a
 //! sequence of blocks of rules which can be applied multiple times."
 //!
-//! The block loop here is the kernel's hot path, and two structures keep
-//! it fast without changing observable semantics (rewrite results,
-//! application order, and `condition_checks` accounting are identical to
-//! the naive loop):
+//! The block loop here is the kernel's hot path. Each strategy run (one
+//! [`run_strategy`] or [`run_strategy_explore`] call) creates one
+//! `RunState`, passes it explicitly through every block it runs, and
+//! drops it when the run ends. Three things keep the loop fast without
+//! changing observable semantics (rewrite results, application order,
+//! trace, and `condition_checks` accounting are identical to the naive
+//! loop that gives every block fresh state and every attempt a full
+//! scan):
 //!
-//! * [`RuleIndex`] resolves each member rule's LHS root functor once per
-//!   block run, so every attempt starts with an O(1) fingerprint test
-//!   ("does this functor occur anywhere in the query?") instead of a term
-//!   walk;
-//! * an incremental *position worklist*: once a rule has scanned the term
-//!   and failed, it is only re-scanned against the regions later
-//!   applications actually changed (the rewritten subtree plus its
-//!   ancestor spine), not the whole term.
+//! * [`RuleIndex`] resolves each member rule's LHS root functor, once per
+//!   run for each distinct block, so every attempt starts with an O(1)
+//!   fingerprint test ("does this functor occur anywhere in the query?")
+//!   instead of a term walk;
+//! * one *run-wide worklist*: a log of every application path, shared by
+//!   all blocks and passes, and for each rule the log length at which it
+//!   last failed everywhere. A rule that failed anywhere earlier in the
+//!   run — in this block or any before it — re-scans only the regions the
+//!   applications logged since then changed (each rewritten subtree plus
+//!   its ancestor spine), not the whole term;
+//! * a *method memo* ([`MethodMemo`]): a constraint-position method call
+//!   that failed is answered from the memo when a later scan repeats it,
+//!   exploration candidates included.
 
 use std::collections::{HashMap, HashSet};
 
-use crate::engine::{apply_rule_once, apply_rule_once_dirty, RewriteStats};
+use crate::engine::{scan_rule, RewriteStats};
 use crate::error::{RewriteError, RwResult};
-use crate::methods::{MethodRegistry, TermEnv};
+use crate::methods::{MethodMemo, MethodRegistry, TermEnv};
 use crate::rule::Rule;
 use crate::symbol::Symbol;
 use crate::term::Term;
@@ -161,7 +170,19 @@ impl RuleSet {
 
     /// Look up a rule.
     pub fn get(&self, name: &str) -> Option<&Rule> {
-        self.index.get(name).and_then(|&i| self.slots[i].as_ref())
+        self.slot(name).map(|(_, r)| r)
+    }
+
+    /// Look up a rule together with its slot number, which stays fixed
+    /// while the set is not mutated and is below [`RuleSet::slot_count`].
+    fn slot(&self, name: &str) -> Option<(usize, &Rule)> {
+        let &i = self.index.get(name)?;
+        self.slots[i].as_ref().map(|r| (i, r))
+    }
+
+    /// One more than the highest slot number.
+    fn slot_count(&self) -> usize {
+        self.slots.len()
     }
 
     /// All rules, in insertion order.
@@ -269,54 +290,91 @@ impl Strategy {
     }
 }
 
-/// What a member rule still has to look at. After a rule scans the whole
-/// term and fails, only later applications can make it match again — and
-/// only at the rewritten position's spine or subtree.
-#[derive(Debug, Clone)]
-enum Dirty {
-    /// The rule has untested positions anywhere in the term (initial
-    /// state, and the state of a rule right after it fires: the scan
-    /// stopped at the application site, so later positions were never
-    /// examined).
-    All,
-    /// The rule failed on the term as of its last scan; only these
-    /// positions (spine + subtree each) have changed since.
-    Paths(Vec<Vec<usize>>),
-    /// The rule failed and nothing changed since: the attempt can be
-    /// resolved without touching the term.
-    Clean,
-}
-
-/// Beyond this many accumulated dirty paths a full rescan is cheaper than
-/// a restricted one.
+/// Beyond this many logged paths a full rescan is cheaper than a
+/// restricted one.
 const DIRTY_PATH_CAP: usize = 64;
 
-impl Dirty {
-    fn note(&mut self, path: &[usize]) {
-        match self {
-            Dirty::All => {}
-            Dirty::Paths(paths) => {
-                if paths.last().map(Vec::as_slice) != Some(path) {
-                    paths.push(path.to_vec());
-                    if paths.len() > DIRTY_PATH_CAP {
-                        *self = Dirty::All;
-                    }
-                }
-            }
-            Dirty::Clean => *self = Dirty::Paths(vec![path.to_vec()]),
+/// The run-wide position worklist.
+///
+/// After a rule scans the term and fails, only later applications can make
+/// it match again — and only at the rewritten positions' spines or
+/// subtrees. The log holds every application's path in order; a rule that
+/// failed when the log had length `k` re-scans `log[k..]` only.
+#[derive(Debug)]
+struct Worklist {
+    /// Path of every application since the last reset, in order. Never
+    /// deduplicated: a rule that failed between two applications at the
+    /// same path must still see the second one.
+    log: Vec<Vec<usize>>,
+    /// Per rule slot: `log.len()` when the rule last failed to match
+    /// anywhere on the term; `None` while it has untested positions
+    /// (initially, and right after it fires: its scan stopped at the
+    /// application site, so later positions were never examined).
+    failed_at: Vec<Option<usize>>,
+}
+
+impl Worklist {
+    fn new(slots: usize) -> Self {
+        Worklist {
+            log: Vec::new(),
+            failed_at: vec![None; slots],
+        }
+    }
+
+    /// What the rule in `slot` has to re-scan: `None` for the whole term,
+    /// otherwise the paths changed since it failed (empty when nothing
+    /// changed, so the attempt is resolved without touching the term).
+    fn dirty(&self, slot: usize) -> Option<&[Vec<usize>]> {
+        let tail = &self.log[self.failed_at[slot]?..];
+        (tail.len() <= DIRTY_PATH_CAP).then_some(tail)
+    }
+
+    /// The rule in `slot` matched nowhere on the current term.
+    fn failed(&mut self, slot: usize) {
+        self.failed_at[slot] = Some(self.log.len());
+    }
+
+    /// The rule in `slot` rewrote the subterm at `path`.
+    fn applied(&mut self, slot: usize, path: Vec<usize>) {
+        self.log.push(path);
+        self.failed_at[slot] = None;
+    }
+
+    /// Forget everything: the next attempts run on an unrelated term.
+    fn reset(&mut self) {
+        self.log.clear();
+        self.failed_at.fill(None);
+    }
+}
+
+/// The state one strategy run threads through all of its blocks: the
+/// worklist and the method memo. Created at the start of the run and
+/// dropped at its end, so nothing outlives the statement it served.
+#[derive(Debug)]
+struct RunState {
+    worklist: Worklist,
+    memo: MethodMemo,
+}
+
+impl RunState {
+    fn new(rules: &RuleSet) -> Self {
+        RunState {
+            worklist: Worklist::new(rules.slot_count()),
+            memo: MethodMemo::default(),
         }
     }
 }
 
 /// Root-functor index over a block's member rules.
 ///
-/// Built once per block run: resolves member names against the
-/// [`RuleSet`], records each rule's LHS head [`Symbol`], and ORs their
-/// fingerprint bits into a mask. During the saturation loop an attempt
-/// against a rule whose head functor does not occur in the query is
-/// rejected by one AND against the term's cached fingerprint — the term
-/// is never walked. Rules whose LHS is not an application (a bare
-/// variable or constant pattern) are *wildcards* and always scan.
+/// Built once per run for each distinct block: resolves member names
+/// against the [`RuleSet`], records each rule's LHS head [`Symbol`] and
+/// worklist slot, and ORs their fingerprint bits into a mask. During the
+/// saturation loop an attempt against a rule whose head functor does not
+/// occur in the query is rejected by one AND against the term's cached
+/// fingerprint — the term is never walked. Rules whose LHS is not an
+/// application (a bare variable or constant pattern) are *wildcards* and
+/// always scan.
 ///
 /// Missing members are skipped, matching the block semantics for deleted
 /// rules.
@@ -331,6 +389,9 @@ pub struct RuleIndex<'r> {
 struct IndexedRule<'r> {
     rule: &'r Rule,
     head: Option<Symbol>,
+    /// The rule's slot in the [`RuleSet`], which keys its worklist entry:
+    /// a rule listed by several blocks shares one entry.
+    slot: usize,
 }
 
 impl<'r> RuleIndex<'r> {
@@ -340,7 +401,7 @@ impl<'r> RuleIndex<'r> {
         let mut head_mask = 0u64;
         let mut wildcards = 0usize;
         for name in &block.rules {
-            let Some(rule) = rules.get(name) else {
+            let Some((slot, rule)) = rules.slot(name) else {
                 continue;
             };
             let head = rule.lhs.head();
@@ -348,7 +409,7 @@ impl<'r> RuleIndex<'r> {
                 Some(h) => head_mask |= h.fp_bit(),
                 None => wildcards += 1,
             }
-            members.push(IndexedRule { rule, head });
+            members.push(IndexedRule { rule, head, slot });
         }
         RuleIndex {
             members,
@@ -371,6 +432,38 @@ impl<'r> RuleIndex<'r> {
     /// means every member's head functor is provably absent.
     pub fn any_head_present(&self, term: &Term) -> bool {
         self.wildcards > 0 || self.head_mask & term.fingerprint() != 0
+    }
+}
+
+/// A strategy's block order with each distinct block's [`RuleIndex`]
+/// built once, at the start of a run.
+struct Schedule<'r> {
+    /// Blocks in execution order, each with the position of its index.
+    steps: Vec<(&'r Block, usize)>,
+    indexes: Vec<RuleIndex<'r>>,
+    passes: u64,
+}
+
+impl<'r> Schedule<'r> {
+    fn new(rules: &'r RuleSet, strategy: &'r Strategy) -> Self {
+        let (order, passes) = strategy.order();
+        let mut indexes = Vec::new();
+        let mut built: HashMap<&str, usize> = HashMap::new();
+        let steps = order
+            .into_iter()
+            .map(|block| {
+                let at = *built.entry(block.name.as_str()).or_insert_with(|| {
+                    indexes.push(RuleIndex::build(rules, block));
+                    indexes.len() - 1
+                });
+                (block, at)
+            })
+            .collect();
+        Schedule {
+            steps,
+            indexes,
+            passes,
+        }
     }
 }
 
@@ -440,6 +533,8 @@ const SNAPSHOT_CAP: usize = 16;
 /// the block's limit, following Section 4.2 — including attempts resolved
 /// by the fingerprint pretest or the worklist without scanning, so a
 /// block's `Limit` means exactly what it meant under the naive loop.
+///
+/// A standalone call is a run of its own, with fresh run state.
 pub fn apply_block(
     rules: &RuleSet,
     block: &Block,
@@ -448,57 +543,72 @@ pub fn apply_block(
     term: Term,
     collect_trace: bool,
 ) -> RwResult<RunOutcome> {
-    apply_block_capture(rules, block, methods, env, term, collect_trace, None)
+    // Blocks may reference rules the implementor has since deleted
+    // ("the database implementor can add or delete rewriting rules");
+    // missing members are skipped rather than failing the whole block.
+    let index = RuleIndex::build(rules, block);
+    let mut state = RunState::new(rules);
+    apply_block_capture(
+        block,
+        &index,
+        methods,
+        env,
+        term,
+        collect_trace,
+        None,
+        &mut state,
+    )
 }
 
-/// [`apply_block`], optionally snapshotting the term before each
-/// successful application into `capture` (bounded by [`SNAPSHOT_CAP`]:
-/// the pre-block state plus the most recent states). The saturation
-/// loop itself is unchanged — the snapshots are the block's visited
-/// trajectory, which cost-guided exploration mines for candidates.
+/// [`apply_block`] within a run: `index` is the block's member index and
+/// `state` the run's worklist and memo. Optionally snapshots the term
+/// before each successful application into `capture` (bounded by
+/// [`SNAPSHOT_CAP`]: the pre-block state plus the most recent states).
+/// The saturation loop itself is unchanged by capturing — the snapshots
+/// are the block's visited trajectory, which cost-guided exploration
+/// mines for candidates.
+#[allow(clippy::too_many_arguments)]
 fn apply_block_capture(
-    rules: &RuleSet,
     block: &Block,
+    index: &RuleIndex<'_>,
     methods: &MethodRegistry,
     env: &dyn TermEnv,
     mut term: Term,
     collect_trace: bool,
     mut capture: Option<&mut Vec<Term>>,
+    state: &mut RunState,
 ) -> RwResult<RunOutcome> {
     let mut budget = block.limit.budget();
     let mut stats = RewriteStats::default();
     let mut trace = Trace::default();
     let mut exhausted = false;
 
-    // Blocks may reference rules the implementor has since deleted
-    // ("the database implementor can add or delete rewriting rules");
-    // missing members are skipped rather than failing the whole block.
-    let index = RuleIndex::build(rules, block);
-    let mut dirty: Vec<Dirty> = vec![Dirty::All; index.members.len()];
-
     'outer: loop {
         let mut progressed = false;
-        for (i, member) in index.members.iter().enumerate() {
+        for member in &index.members {
             if budget == 0 {
                 exhausted = true;
                 break 'outer;
             }
             budget -= 1;
-            // Resolve the attempt as cheaply as its state allows; every
-            // branch costs exactly one condition check.
-            let outcome = match &dirty[i] {
-                Dirty::Clean => {
-                    stats.condition_checks += 1;
-                    None
-                }
-                _ if member.head.is_some_and(|h| !term.may_contain(h)) => {
-                    stats.condition_checks += 1;
-                    None
-                }
-                Dirty::All => apply_rule_once(member.rule, &term, methods, env, &mut stats)?,
-                Dirty::Paths(paths) => {
-                    apply_rule_once_dirty(member.rule, &term, paths, methods, env, &mut stats)?
-                }
+            // Resolve the attempt as cheaply as the worklist allows;
+            // every branch costs exactly one condition check.
+            let dirty = state.worklist.dirty(member.slot);
+            let outcome = if dirty.is_some_and(<[_]>::is_empty)
+                || member.head.is_some_and(|h| !term.may_contain(h))
+            {
+                stats.condition_checks += 1;
+                None
+            } else {
+                scan_rule(
+                    member.rule,
+                    &term,
+                    dirty,
+                    methods,
+                    env,
+                    &mut state.memo,
+                    &mut stats,
+                )?
             };
             match outcome {
                 Some((new_term, app)) => {
@@ -521,18 +631,9 @@ fn apply_block_capture(
                     }
                     term = new_term;
                     progressed = true;
-                    // The firing rule's scan stopped at the application
-                    // site: everything after it is untested. Every other
-                    // rule only needs to revisit the changed region.
-                    for (j, d) in dirty.iter_mut().enumerate() {
-                        if j == i {
-                            *d = Dirty::All;
-                        } else {
-                            d.note(&app.path);
-                        }
-                    }
+                    state.worklist.applied(member.slot, app.path);
                 }
-                None => dirty[i] = Dirty::Clean,
+                None => state.worklist.failed(member.slot),
             }
         }
         if !progressed {
@@ -559,15 +660,25 @@ pub fn run_strategy(
     mut term: Term,
     collect_trace: bool,
 ) -> RwResult<RunOutcome> {
-    let (order, passes) = strategy.order();
+    let schedule = Schedule::new(rules, strategy);
+    let mut state = RunState::new(rules);
     let mut stats = RewriteStats::default();
     let mut trace = Trace::default();
     let mut exhausted = false;
 
-    for _ in 0..passes {
+    for _ in 0..schedule.passes {
         let before = term.clone();
-        for block in &order {
-            let outcome = apply_block(rules, block, methods, env, term, collect_trace)?;
+        for &(block, at) in &schedule.steps {
+            let outcome = apply_block_capture(
+                block,
+                &schedule.indexes[at],
+                methods,
+                env,
+                term,
+                collect_trace,
+                None,
+                &mut state,
+            )?;
             term = outcome.term;
             stats.absorb(outcome.stats);
             trace.extend(outcome.trace);
@@ -617,7 +728,8 @@ pub fn run_strategy_explore(
     collect_trace: bool,
     explore: &ExploreOptions,
 ) -> RwResult<RunOutcome> {
-    let (order, passes) = strategy.order();
+    let schedule = Schedule::new(rules, strategy);
+    let mut state = RunState::new(rules);
     let mut stats = RewriteStats::default();
     let mut trace = Trace::default();
     let mut exhausted = false;
@@ -626,13 +738,21 @@ pub fn run_strategy_explore(
     // candidate still has to be normalized by.
     let mut snapshots: Vec<(u64, usize, Term)> = Vec::new();
 
-    for pass in 0..passes {
+    for pass in 0..schedule.passes {
         let before = term.clone();
-        for (bi, block) in order.iter().enumerate() {
+        for (bi, &(block, at)) in schedule.steps.iter().enumerate() {
             let mut taken: Vec<Term> = Vec::new();
             let capture = strategy.is_explore_block(&block.name).then_some(&mut taken);
-            let outcome =
-                apply_block_capture(rules, block, methods, env, term, collect_trace, capture)?;
+            let outcome = apply_block_capture(
+                block,
+                &schedule.indexes[at],
+                methods,
+                env,
+                term,
+                collect_trace,
+                capture,
+                &mut state,
+            )?;
             term = outcome.term;
             stats.absorb(outcome.stats);
             trace.extend(outcome.trace);
@@ -691,7 +811,7 @@ pub fn run_strategy_explore(
             continue;
         }
         let (normalized, checks) = normalize_candidate(
-            rules, strategy, &order, passes, methods, env, pass, bi, snap,
+            strategy, &schedule, methods, env, pass, bi, snap, &mut state,
         )?;
         stats.explore_checks += checks;
         expected_checks = checks.max(1);
@@ -735,27 +855,40 @@ pub fn run_strategy_explore(
 /// remaining passes — skipping choice-point blocks, whose re-application
 /// would erase what makes the candidate different. Returns the
 /// normalized term and the condition checks spent.
+///
+/// The candidate is a different term from the one the worklist describes,
+/// so the worklist starts over; the method memo carries over, since
+/// method results do not depend on the term being rewritten.
 #[allow(clippy::too_many_arguments)]
 fn normalize_candidate(
-    rules: &RuleSet,
     strategy: &Strategy,
-    order: &[&Block],
-    passes: u64,
+    schedule: &Schedule<'_>,
     methods: &MethodRegistry,
     env: &dyn TermEnv,
     start_pass: u64,
     start_bi: usize,
     mut term: Term,
+    state: &mut RunState,
 ) -> RwResult<(Term, u64)> {
+    state.worklist.reset();
     let mut checks = 0u64;
-    for pass in start_pass..passes {
+    for pass in start_pass..schedule.passes {
         let first = if pass == start_pass { start_bi + 1 } else { 0 };
         let before = term.clone();
-        for block in order.iter().skip(first) {
+        for &(block, at) in schedule.steps.iter().skip(first) {
             if strategy.is_explore_block(&block.name) {
                 continue;
             }
-            let outcome = apply_block(rules, block, methods, env, term, false)?;
+            let outcome = apply_block_capture(
+                block,
+                &schedule.indexes[at],
+                methods,
+                env,
+                term,
+                false,
+                None,
+                state,
+            )?;
             term = outcome.term;
             checks += outcome.stats.condition_checks;
         }
@@ -1328,6 +1461,52 @@ mod tests {
             )
         );
         assert!(!out.budget_exhausted);
+    }
+
+    #[test]
+    fn worklist_carries_failures_across_blocks() {
+        // `collapse` fails everywhere in the first block; the second block
+        // rewrites below the root, which makes `collapse` match at the
+        // root — on the spine of the logged path — when the first block
+        // runs again.
+        let mut rules = RuleSet::new();
+        rules.add(Rule::simple(
+            "collapse",
+            Term::app("F", vec![Term::app("H", vec![Term::var("x")])]),
+            Term::app("G", vec![Term::var("x")]),
+        ));
+        rules.add(Rule::simple(
+            "wrap",
+            Term::atom("A"),
+            Term::app("H", vec![Term::atom("B")]),
+        ));
+        let mut strategy = Strategy::new();
+        for (name, rule) in [("first", "collapse"), ("second", "wrap")] {
+            strategy.add_block(Block {
+                name: name.into(),
+                rules: vec![rule.into()],
+                limit: Limit::Infinite,
+            });
+        }
+        strategy.set_sequence(Sequence {
+            blocks: vec!["first".into(), "second".into(), "first".into()],
+            passes: 1,
+        });
+        let env = BasicEnv::new();
+        let methods = MethodRegistry::with_builtins();
+        let start = Term::app("F", vec![Term::atom("A")]);
+        let out = run_strategy(&rules, &strategy, &methods, &env, start, true).unwrap();
+        assert_eq!(out.term, Term::app("G", vec![Term::atom("B")]));
+        let fired: Vec<(&str, &[usize])> = out
+            .trace
+            .events()
+            .iter()
+            .map(|e| (e.rule.as_str(), e.path.as_slice()))
+            .collect();
+        assert_eq!(fired, vec![("wrap", &[0][..]), ("collapse", &[][..])]);
+        // first: 1 failed check; second: fires, then fails; first again:
+        // fires, then fails.
+        assert_eq!(out.stats.condition_checks, 5);
     }
 
     #[test]

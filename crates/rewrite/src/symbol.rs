@@ -223,6 +223,9 @@ pub(crate) mod well_known {
     known!(set, "SET");
     known!(bag, "BAG");
     known!(attr, "ATTR");
+    known!(append, "APPEND");
+    known!(set_union, "SET_UNION");
+    known!(setunion, "SETUNION");
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 use eds_adt::Value;
 
 use crate::analyze::{Diagnostic, CMP_OPS};
-use crate::methods::{eval_constraint, MethodRegistry, TermEnv};
+use crate::methods::{eval_constraint, MethodMemo, MethodRegistry, TermEnv};
 use crate::rule::Rule;
 use crate::term::{Bindings, Term};
 use crate::verify::{refuted, side_condition, unsupported};
@@ -398,7 +398,7 @@ pub fn check_rule(rule: &Rule, methods: &MethodRegistry, env: &dyn TermEnv) -> O
         let mut binds = val.bindings();
         let mut excluded = false;
         for c in &rule.constraints {
-            match eval_constraint(c, &mut binds, methods, env) {
+            match eval_constraint(c, &mut binds, methods, env, &mut MethodMemo::default()) {
                 Ok(true) => {}
                 Ok(false) => {
                     excluded = true;
